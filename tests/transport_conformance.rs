@@ -1,117 +1,47 @@
 //! Cross-backend transport conformance suite.
 //!
-//! The pinned contract: a [`Scenario`] run on the deterministic simulator,
-//! the threaded in-process backend, and the multi-process TCP backend must
-//! produce **byte-identical** consensus words, identical `⊙`/RNG-draw
-//! counts, identical wire traces, and identical per-hop telemetry (up to
-//! the `backend`/`clock` tag naming the transport that produced it).
+//! The pinned contract: a [`Scenario`] run on the threaded in-process
+//! backend or the multi-process TCP backend must reproduce the frozen
+//! schedule goldens under `tests/fixtures/schedules/` **byte for byte** —
+//! consensus words, `⊙`/RNG-draw counts, wire trace step vectors, injector
+//! statistics and per-hop telemetry (up to the `backend`/`clock` tag naming
+//! the transport that produced it). `tests/schedule_goldens.rs` holds the
+//! simulator backend to the same bytes.
 //!
 //! The matrix covers all four multi-hop paradigms the paper names — ring,
 //! 2D torus, binary tree, segmented ring — each clean and under seeded
-//! link-drop faults.
+//! link-drop faults; the threaded backend also runs the edge shapes.
 
-use marsit::core::transport::{RunArtifacts, Scenario, TopoKind};
+mod common;
+
+use common::{assert_matches_fixture, edge_shapes, matrix, render, with_telemetry};
+use marsit::core::transport::{Scenario, TopoKind};
 use marsit::core::CombineKind;
-use marsit::telemetry::{scoped, Telemetry};
 
 fn worker_exe() -> &'static str {
     env!("CARGO_BIN_EXE_transport_worker")
 }
 
-fn matrix() -> Vec<Scenario> {
-    let mut scenarios = Vec::new();
-    for (topo, world) in [
-        (TopoKind::Ring, 8),
-        (TopoKind::Torus { rows: 2, cols: 4 }, 8),
-        (TopoKind::Tree, 6),
-        (TopoKind::SegRing { macro_segments: 3 }, 4),
-    ] {
-        for drop_p in [None, Some(0.3)] {
-            scenarios.push(Scenario {
-                topo,
-                world,
-                d: 321,
-                seed: 0xD15C0,
-                round: 5,
-                drop_p,
-                combine: CombineKind::Weighted,
-            });
-        }
-    }
-    scenarios
-}
-
-/// Runs `f` under a fresh recording telemetry scope; returns its value plus
-/// the scope's JSONL event log.
-fn with_telemetry<R>(f: impl FnOnce() -> R) -> (R, String) {
-    let tel = Telemetry::recording();
-    let out = scoped(&tel, f);
-    (out, tel.events_jsonl())
-}
-
-/// Strips the transport tag from a telemetry JSONL line so logs from
-/// different backends become comparable. Tag values are pinned separately.
-fn normalize(jsonl: &str) -> String {
-    jsonl
-        .lines()
-        .map(|line| {
-            let mut line = line.to_string();
-            for backend in ["simulator", "threaded", "process"] {
-                for clock in ["simulated", "real"] {
-                    line = line.replace(
-                        &format!(",\"backend\":\"{backend}\",\"clock\":\"{clock}\""),
-                        "",
-                    );
-                }
-            }
-            line
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn assert_artifacts_match(label: &str, reference: &RunArtifacts, got: &RunArtifacts) {
-    assert_eq!(
-        reference.consensus_words(),
-        got.consensus_words(),
-        "{label}: consensus words diverged"
-    );
-    assert_eq!(reference.combines, got.combines, "{label}: combine count");
-    assert_eq!(reference.rng_draws, got.rng_draws, "{label}: rng draws");
-    assert_eq!(
-        reference.trace.total_bytes(),
-        got.trace.total_bytes(),
-        "{label}: trace bytes"
-    );
-    assert_eq!(
-        reference.trace.num_steps(),
-        got.trace.num_steps(),
-        "{label}: trace steps"
-    );
-    let link = marsit::simnet::RateProfile::public_cloud().link;
-    assert!(
-        (reference.trace.time(link) - got.trace.time(link)).abs() < 1e-12,
-        "{label}: trace time"
-    );
+fn label(sc: &Scenario, backend: &str) -> String {
+    format!(
+        "{} w={} d={} drop={:?} {backend}",
+        sc.topo.encode(),
+        sc.world,
+        sc.d,
+        sc.drop_p
+    )
 }
 
 #[test]
 fn threaded_backend_conforms_across_matrix() {
-    for sc in matrix() {
-        let label = format!("{:?} drop={:?} threaded", sc.topo, sc.drop_p);
-        let (reference, ref_log) = with_telemetry(|| sc.run_simulator().unwrap());
-        let (threaded, thr_log) = with_telemetry(|| sc.run_threaded().unwrap());
-        assert_artifacts_match(&label, &reference, &threaded);
-        assert_eq!(
-            normalize(&ref_log),
-            normalize(&thr_log),
-            "{label}: telemetry diverged"
-        );
+    for sc in matrix().into_iter().chain(edge_shapes()) {
+        let label = label(&sc, "threaded");
+        let (threaded, log) = with_telemetry(|| sc.run_threaded().unwrap());
+        assert_matches_fixture(&label, &sc, &render(&sc, &threaded, &log));
         // The tag itself must name the backend that produced the log
         // (trees emit no hop events, so there is nothing to tag there).
-        if ref_log.contains("\"ev\":\"hop\"") {
-            assert!(ref_log.contains("\"backend\":\"simulator\""), "{label}");
-            assert!(thr_log.contains("\"backend\":\"threaded\""), "{label}");
+        if log.contains("\"ev\":\"hop\"") {
+            assert!(log.contains("\"backend\":\"threaded\""), "{label}");
         }
     }
 }
@@ -119,17 +49,11 @@ fn threaded_backend_conforms_across_matrix() {
 #[test]
 fn process_backend_conforms_across_matrix() {
     for sc in matrix() {
-        let label = format!("{:?} drop={:?} process", sc.topo, sc.drop_p);
-        let (reference, ref_log) = with_telemetry(|| sc.run_simulator().unwrap());
-        let (process, proc_log) = with_telemetry(|| sc.run_process(worker_exe()).unwrap());
-        assert_artifacts_match(&label, &reference, &process);
-        assert_eq!(
-            normalize(&ref_log),
-            normalize(&proc_log),
-            "{label}: telemetry diverged"
-        );
-        if proc_log.contains("\"ev\":\"hop\"") {
-            assert!(proc_log.contains("\"backend\":\"process\""), "{label}");
+        let label = label(&sc, "process");
+        let (process, log) = with_telemetry(|| sc.run_process(worker_exe()).unwrap());
+        assert_matches_fixture(&label, &sc, &render(&sc, &process, &log));
+        if log.contains("\"ev\":\"hop\"") {
+            assert!(log.contains("\"backend\":\"process\""), "{label}");
         }
     }
 }
@@ -145,9 +69,13 @@ fn unweighted_ablation_conforms_too() {
         drop_p: Some(0.2),
         combine: CombineKind::UnweightedAblation,
     };
-    let reference = sc.run_simulator().unwrap();
-    let threaded = sc.run_threaded().unwrap();
-    assert_artifacts_match("unweighted", &reference, &threaded);
+    let (reference, ref_log) = with_telemetry(|| sc.run_simulator().unwrap());
+    let (threaded, thr_log) = with_telemetry(|| sc.run_threaded().unwrap());
+    assert_eq!(
+        render(&sc, &reference, &ref_log),
+        render(&sc, &threaded, &thr_log),
+        "unweighted ablation diverged across backends"
+    );
 }
 
 #[test]
