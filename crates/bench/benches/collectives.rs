@@ -7,9 +7,7 @@ use std::hint::black_box;
 use marsit_collectives::ring::{
     ring_allreduce_majority, ring_allreduce_onebit, ring_allreduce_sum, SumWire,
 };
-use marsit_collectives::segring::segring_allreduce_sum;
 use marsit_collectives::torus::torus_allreduce_sum;
-use marsit_collectives::tree::tree_allreduce_sum;
 use marsit_tensor::rng::FastRng;
 use marsit_tensor::SignVec;
 
@@ -57,28 +55,6 @@ fn bench_torus_sum(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_extension_paradigms(c: &mut Criterion) {
-    let d = 1 << 16;
-    let m = 8;
-    let mut group = c.benchmark_group("extension_allreduce_sum");
-    group.throughput(Throughput::Elements((m * d) as u64));
-    group.bench_function("tree", |b| {
-        let base = payloads(m, d);
-        b.iter(|| {
-            let mut data = base.clone();
-            tree_allreduce_sum(black_box(&mut data))
-        });
-    });
-    group.bench_function("segring_s4", |b| {
-        let base = payloads(m, d);
-        b.iter(|| {
-            let mut data = base.clone();
-            segring_allreduce_sum(black_box(&mut data), 4)
-        });
-    });
-    group.finish();
-}
-
 fn bench_sign_payloads(c: &mut Criterion) {
     let m = 8;
     let d = 1 << 16;
@@ -100,6 +76,6 @@ fn bench_sign_payloads(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_ring_sum, bench_torus_sum, bench_extension_paradigms, bench_sign_payloads
+    targets = bench_ring_sum, bench_torus_sum, bench_sign_payloads
 }
 criterion_main!(benches);

@@ -1,75 +1,102 @@
-//! Transport-driven collective engine.
+//! Compiled collective schedules: the one encoding of the binary-tree and
+//! segmented-ring all-reduce, and the transport-generic form of ring and
+//! 2D torus.
 //!
-//! The legacy collectives in [`crate::ring`] / [`crate::torus`] /
-//! [`crate::tree`] / [`crate::segring`] execute their schedules directly on
-//! a slice of worker states — one process, one thread, no wire. This module
-//! splits that into two halves so the *same* schedule runs on any
-//! [`Transport`] backend:
+//! A schedule is handled in three independent halves:
 //!
-//! 1. **Compile**: [`compile_plan`] replays a topology's exact legacy
-//!    schedule — hop order, segment geometry, [`CombineCtx`] values, and
-//!    (for faulty runs) per-`(worker, segment)` aggregation counts — into a
-//!    flat list of [`PlannedTransfer`]s. Fault fates are drawn here, by
-//!    consuming the [`FaultInjector`] in the legacy collective's canonical
-//!    transfer order, so the injector's RNG stream and statistics advance
-//!    exactly as they would have in-process.
-//! 2. **Execute**: [`run_rank`] walks one rank's slice of the plan against
-//!    a [`Transport`] endpoint — sends first, then combines what arrives.
+//! 1. **Compile**: [`compile_plan`] encodes a topology's schedule — hop
+//!    order, segment geometry, [`CombineCtx`] values, per-`(worker,
+//!    segment)` aggregation counts and transfer fates — into a flat list of
+//!    [`PlannedTransfer`]s. Fates are drawn here, by consuming the
+//!    [`FaultInjector`] in the schedule's canonical transfer order, so the
+//!    injector's RNG stream and statistics are fixed before any payload
+//!    moves.
+//! 2. **Describe**: what crossed the wire depends only on the plan, never on
+//!    payload bits. [`EnginePlan::trace`] lays every wire attempt out as the
+//!    α–β [`Trace`] (retries ride sub-steps behind their main step), and
+//!    [`EnginePlan::emit_hops`] records one telemetry `hop` event per attempt
+//!    into the ambient scope.
+//! 3. **Execute**: [`run_rank`] walks one rank's slice of the plan against a
+//!    [`Transport`] endpoint — sends first, then combines what arrives.
 //!    [`run_lockstep`] drives every rank from one thread over a simulated
-//!    fabric (the refactored simulator backend); [`run_threaded`] gives
-//!    each rank an OS thread. Worker *processes* run [`run_rank`] directly
-//!    over a `ProcessTransport`.
+//!    fabric (the simulator backend); [`run_threaded`] gives each rank an OS
+//!    thread. Worker *processes* run [`run_rank`] directly over a
+//!    `ProcessTransport`.
 //!
 //! Determinism across backends is the frozen RNG stream contract
 //! (`DESIGN.md` §9): every combine's randomness is addressed by its
 //! [`CombineCtx`], which is fixed at compile time, so arrival timing cannot
-//! perturb the consensus. Simulated-clock telemetry and traces are *not*
-//! produced here — they depend only on the schedule and fault fates, so
-//! callers obtain them byte-identically by replaying the legacy collective
-//! on dummy payloads (see `marsit_core::transport`). The one exception is
-//! *wall-clock tracing*: when an ambient telemetry scope is active,
-//! [`run_rank`] records each payload it receives as a `hop` event carrying
-//! the propagated trace context (round, absolute seq, sender send-time) plus
-//! its own arrival time, so real-transport runs can be merged into one
-//! causally-ordered cross-rank trace.
+//! perturb the consensus. The one backend-specific output is *wall-clock
+//! tracing*: when an ambient telemetry scope is active, [`run_rank`] records
+//! each payload it receives as a `hop` event at the same expanded slot the
+//! plan's own telemetry gives that delivery, carrying the propagated trace
+//! context (round, absolute seq, sender send-time) plus its own arrival
+//! time, so real-transport runs can be merged into one causally-ordered
+//! cross-rank trace.
 
 use std::ops::Range;
 
 use marsit_simnet::transport::{Backend, ChannelFabric, Transport, TransportError};
-use marsit_simnet::{FaultInjector, LinkModel};
+use marsit_simnet::{FaultInjector, LinkModel, TransferFate};
 use marsit_telemetry::{wall_now_ns, Hop, HopRecorder, HopTiming};
 use marsit_tensor::SignVec;
 
 use crate::reconfigure::SyncError;
-use crate::ring::{segment_ranges, CombineCtx};
+use crate::ring::{emit_attempts, segment_ranges, CombineCtx};
+use crate::trace::Trace;
 
-/// Which legacy schedule to compile.
+/// The multi-hop all-reduce schedule to compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanTopology {
-    /// Ring all-reduce over all ranks ([`crate::ring`]).
+    /// Ring all-reduce over all ranks: `M−1` reduce-scatter steps, then
+    /// `M−1` all-gather steps.
     Ring,
-    /// 2D-torus all-reduce ([`crate::torus`]).
+    /// 2D-torus all-reduce: horizontal reduce-scatter, one vertical ring per
+    /// column (the columns run concurrently), horizontal all-gather.
     Torus {
         /// Torus rows.
         rows: usize,
         /// Torus columns.
         cols: usize,
     },
-    /// Binary-tree all-reduce ([`crate::tree`]).
+    /// Binary-tree all-reduce: `⌈log₂ M⌉` reduce levels folding pairs of
+    /// aggregates up to rank 0, then the same number of broadcast levels.
+    /// Every transfer carries the full payload.
     Tree,
-    /// Segmented-ring all-reduce ([`crate::segring`]).
+    /// Segmented-ring all-reduce: the payload is cut into macro-segments,
+    /// each all-reduced by its own ring pass, pipelined one step apart over
+    /// the shared ring.
     SegRing {
-        /// Number of macro-segments.
+        /// Number of macro-segments (the pipeline depth).
         macro_segments: usize,
     },
 }
 
 /// One scheduled point-to-point transfer.
+///
+/// A transfer lives in three step spaces. `step` orders execution; `slot`
+/// and `seq` place its wire attempts in the [`Trace`] and in the telemetry
+/// stream, where a logical step with up to `k` attempts per transfer
+/// expands into `k` consecutive slots (attempt `a` rides `a − 1` slots
+/// after the first). Concurrent lanes — the torus's column rings, the
+/// segmented ring's pipelines — share steps and slots; each lane expands
+/// its own retries. In a clean plan `slot == step` for every transfer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedTransfer {
     /// Engine step: all of a rank's step-`k` sends precede its step-`k`
     /// receives, and steps run in order at every rank.
     pub step: usize,
+    /// Trace slot of the first wire attempt.
+    pub slot: usize,
+    /// Telemetry slot of the first wire attempt, relative to the
+    /// collective's base `seq`. Equal to `slot` except in a segmented ring,
+    /// whose pipelines claim consecutive telemetry windows.
+    pub seq: usize,
+    /// Phase-local logical step (ring reduce step `r`, gather step `g`,
+    /// tree level), as reported in hop events.
+    pub phase_step: usize,
+    /// Phase-local segment index, as reported in hop events.
+    pub segment: usize,
     /// Sending rank (global).
     pub sender: usize,
     /// Receiving rank (global).
@@ -79,18 +106,59 @@ pub struct PlannedTransfer {
     /// Payload length in coordinates.
     pub len: usize,
     /// `Some(ctx)` → the receiver combines the payload into its local
-    /// range with exactly this context; `None` → the receiver overwrites
-    /// the range (gather / broadcast copy).
+    /// range with exactly this context (a reduce hop); `None` → the
+    /// receiver overwrites the range (a gather or broadcast copy).
     pub combine: Option<CombineCtx>,
+    /// Wire attempts the fault layer drew, reliable transfers included
+    /// (1 on a clean plan).
+    pub attempts: u32,
     /// Fault fate drawn at compile time. An undelivered transfer is skipped
     /// by both endpoints — the payload never existed on the wire.
     pub delivered: bool,
+}
+
+impl PlannedTransfer {
+    /// Wire bytes of one attempt: one bit per coordinate, at least a byte.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.len.div_ceil(8).max(1)
+    }
+
+    /// The hop event of this transfer's first wire attempt.
+    fn hop(&self) -> Hop {
+        Hop {
+            expanded_step: self.seq,
+            step: self.phase_step,
+            phase: if self.combine.is_some() {
+                "reduce"
+            } else {
+                "gather"
+            },
+            sender: self.sender,
+            receiver: self.receiver,
+            segment: self.segment,
+            elems: self.len,
+            bytes: self.bytes(),
+            attempt: 1,
+            delivered: true,
+        }
+    }
+
+    /// The hop event of the attempt that delivered this transfer.
+    fn delivery(&self) -> Hop {
+        let mut hop = self.hop();
+        hop.expanded_step += self.attempts as usize - 1;
+        hop.attempt = self.attempts;
+        hop
+    }
 }
 
 /// A compiled schedule: every transfer of one collective, in canonical
 /// (injector-consumption) order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnginePlan {
+    /// The schedule this plan encodes.
+    pub topology: PlanTopology,
     /// Number of ranks.
     pub world: usize,
     /// Full payload length in coordinates.
@@ -109,40 +177,142 @@ impl EnginePlan {
         self.transfers
             .iter()
             .filter(|t| t.step == step && t.delivered)
-            .map(|t| t.len.div_ceil(8).max(1))
+            .map(PlannedTransfer::bytes)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The wire trace: every attempt of every transfer, undelivered ones
+    /// included, in its expanded slot. Within a slot, transfers keep
+    /// canonical order.
+    #[must_use]
+    pub fn trace(&self) -> Trace {
+        let width = self
+            .transfers
+            .iter()
+            .map(|t| t.slot + t.attempts as usize)
+            .max()
+            .unwrap_or(0);
+        let mut steps = vec![Vec::new(); width];
+        for t in &self.transfers {
+            for slot in &mut steps[t.slot..t.slot + t.attempts as usize] {
+                slot.push(t.bytes());
+            }
+        }
+        let mut trace = Trace::new();
+        for step in steps {
+            trace.push_step(step);
+        }
+        trace
+    }
+
+    /// Records one `hop` event per wire attempt into the ambient telemetry
+    /// scope (a no-op without one), claiming the plan's telemetry window.
+    /// Binary-tree plans record nothing: the tree has no per-hop telemetry.
+    pub fn emit_hops(&self) {
+        if self.topology == PlanTopology::Tree {
+            return;
+        }
+        let mut rec = HopRecorder::begin();
+        for t in &self.transfers {
+            emit_attempts(&mut rec, &t.hop(), t.attempts, t.delivered);
+        }
+    }
+
+    /// Telemetry slots the plan spans (one past the last attempt's `seq`).
+    fn seq_width(&self) -> usize {
+        self.transfers
+            .iter()
+            .map(|t| t.seq + t.attempts as usize)
             .max()
             .unwrap_or(0)
     }
 }
 
 /// Draws a best-effort fate: `None` injector (clean run) always delivers.
-fn fate(inj: &mut Option<&mut FaultInjector>) -> bool {
-    match inj {
-        Some(inj) => inj.transfer().delivered,
-        None => true,
-    }
+fn best_effort(inj: &mut Option<&mut FaultInjector>) -> TransferFate {
+    inj.as_mut()
+        .map_or_else(TransferFate::clean, |inj| inj.transfer())
 }
 
-/// Draws a reliable fate (always delivered, but the injector must still be
-/// consumed so its RNG stream and retry statistics stay in legacy step).
-fn fate_reliable(inj: &mut Option<&mut FaultInjector>) {
-    if let Some(inj) = inj {
-        let f = inj.transfer_reliable();
-        debug_assert!(f.delivered, "reliable transfers always deliver");
+/// Draws a reliable fate: always delivered, but the injector is still
+/// consumed so its RNG stream and retry statistics advance.
+fn reliable(inj: &mut Option<&mut FaultInjector>) -> TransferFate {
+    let fate = inj
+        .as_mut()
+        .map_or_else(TransferFate::clean, |inj| inj.transfer_reliable());
+    debug_assert!(fate.delivered, "reliable transfers always deliver");
+    fate
+}
+
+/// Where the next logical step of one schedule lane lands in the plan's
+/// three step spaces.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    step: usize,
+    slot: usize,
+    seq: usize,
+}
+
+impl Lane {
+    /// A transfer of this lane's current logical step. `label` is the hop
+    /// event's `(phase_step, segment)`.
+    fn transfer(
+        self,
+        (sender, receiver): (usize, usize),
+        range: &Range<usize>,
+        (phase_step, segment): (usize, usize),
+        combine: Option<CombineCtx>,
+        fate: TransferFate,
+    ) -> PlannedTransfer {
+        PlannedTransfer {
+            step: self.step,
+            slot: self.slot,
+            seq: self.seq,
+            phase_step,
+            segment,
+            sender,
+            receiver,
+            start: range.start,
+            len: range.len(),
+            combine,
+            attempts: fate.attempts,
+            delivered: fate.delivered,
+        }
+    }
+
+    /// Closes the logical step made of `plan[first..]`: the next one starts
+    /// one engine step later, behind this step's retry sub-steps.
+    fn advance(&mut self, plan: &[PlannedTransfer], first: usize) {
+        let width = plan[first..]
+            .iter()
+            .map(|t| t.attempts as usize)
+            .max()
+            .unwrap_or(1);
+        self.step += 1;
+        self.slot += width;
+        self.seq += width;
+    }
+
+    /// Joins a concurrent lane: the schedule resumes after the longest one.
+    fn join(&mut self, other: Lane) {
+        self.step = self.step.max(other.step);
+        self.slot = self.slot.max(other.slot);
+        self.seq = self.seq.max(other.seq);
     }
 }
 
 /// Compiles one counted ring pass (reduce + reliable gather) into `plan`.
 ///
 /// `ranks[i]` is the global rank at ring position `i`; `ranges[s]` the
-/// global coordinate range of ring segment `s`; `counts[i]` how many workers
-/// position `i`'s input already aggregates. `seg_shift` offsets
+/// global coordinate range of ring segment `s`; `init_counts[i]` how many
+/// workers position `i`'s input already aggregates. `seg_shift` offsets
 /// `ctx.segment` (the segmented ring namespaces its pipelines this way).
-/// Contexts use ring-*positions* as receiver ids, exactly as the legacy
-/// nested collectives do.
+/// Contexts use ring-*positions* as receiver ids, as the torus's column
+/// rings always have.
 fn compile_ring_into(
     plan: &mut Vec<PlannedTransfer>,
-    next_step: &mut usize,
+    lane: &mut Lane,
     ranks: &[usize],
     ranges: &[Range<usize>],
     init_counts: &[usize],
@@ -154,60 +324,47 @@ fn compile_ring_into(
     // counts[i][s]: workers aggregated in position i's copy of segment s.
     let mut counts: Vec<Vec<usize>> = init_counts.iter().map(|&c| vec![c; m]).collect();
     for r in 0..m - 1 {
-        let step = *next_step;
+        let first = plan.len();
         for w in 0..m {
             let n = (w + 1) % m;
             let s = (w + m - (r % m)) % m;
-            let delivered = fate(inj);
-            plan.push(PlannedTransfer {
-                step,
-                sender: ranks[w],
-                receiver: ranks[n],
-                start: ranges[s].start,
-                len: ranges[s].len(),
-                combine: Some(CombineCtx {
-                    step: r,
-                    receiver: n,
-                    segment: seg_shift + s,
-                    received_count: counts[w][s],
-                    local_count: counts[n][s],
-                }),
-                delivered,
-            });
-            if delivered {
+            let fate = best_effort(inj);
+            let ctx = CombineCtx {
+                step: r,
+                receiver: n,
+                segment: seg_shift + s,
+                received_count: counts[w][s],
+                local_count: counts[n][s],
+            };
+            plan.push(lane.transfer((ranks[w], ranks[n]), &ranges[s], (r, s), Some(ctx), fate));
+            if fate.delivered {
                 counts[n][s] += counts[w][s];
             }
         }
-        *next_step += 1;
+        lane.advance(plan, first);
     }
+    // Gather step g circulates segment s from position (s+g+m−1) mod m.
     for g in 0..m - 1 {
-        let step = *next_step;
+        let first = plan.len();
         for (s, range) in ranges.iter().enumerate() {
-            fate_reliable(inj);
             let w = (s + g + m - 1) % m;
-            plan.push(PlannedTransfer {
-                step,
-                sender: ranks[w],
-                receiver: ranks[(w + 1) % m],
-                start: range.start,
-                len: range.len(),
-                combine: None,
-                delivered: true,
-            });
+            let fate = reliable(inj);
+            plan.push(lane.transfer((ranks[w], ranks[(w + 1) % m]), range, (g, s), None, fate));
         }
-        *next_step += 1;
+        lane.advance(plan, first);
     }
 }
 
 /// Compiles a topology's full schedule over `world` ranks and a `d`-length
 /// payload. Passing an injector draws faulty fates (consuming it in the
-/// legacy collective's canonical order); `None` compiles the clean
-/// schedule.
+/// canonical transfer order); `None` compiles the clean schedule.
 ///
 /// # Errors
 ///
-/// Returns the same [`SyncError`]s the legacy faulty collectives return for
-/// impossible shapes.
+/// Returns [`SyncError::TooFewWorkers`] for fewer than 2 ranks,
+/// [`SyncError::BadShape`] for a torus that is not `rows × cols ≥ 2 × 2`,
+/// and [`SyncError::ZeroSegments`] for a segmented ring without
+/// macro-segments.
 pub fn compile_plan(
     topology: PlanTopology,
     world: usize,
@@ -215,7 +372,7 @@ pub fn compile_plan(
     mut inj: Option<&mut FaultInjector>,
 ) -> Result<EnginePlan, SyncError> {
     let mut transfers = Vec::new();
-    let mut next_step = 0usize;
+    let mut lane = Lane::default();
     match topology {
         PlanTopology::Ring => {
             if world < 2 {
@@ -227,7 +384,7 @@ pub fn compile_plan(
             let ranks: Vec<usize> = (0..world).collect();
             compile_ring_into(
                 &mut transfers,
-                &mut next_step,
+                &mut lane,
                 &ranks,
                 &segment_ranges(d, world),
                 &vec![1; world],
@@ -248,38 +405,32 @@ pub fn compile_plan(
             let mut counts: Vec<Vec<usize>> = vec![vec![1; cols]; world];
             // Phase 1: horizontal reduce-scatter, global receiver ids in ctx.
             for rr in 0..cols - 1 {
-                let step = next_step;
+                let first = transfers.len();
                 for row in 0..rows {
                     for c in 0..cols {
                         let w = row * cols + c;
                         let n = row * cols + (c + 1) % cols;
                         let s = (c + cols - (rr % cols)) % cols;
-                        let delivered = fate(&mut inj);
-                        transfers.push(PlannedTransfer {
-                            step,
-                            sender: w,
+                        let fate = best_effort(&mut inj);
+                        let ctx = CombineCtx {
+                            step: rr,
                             receiver: n,
-                            start: chunks[s].start,
-                            len: chunks[s].len(),
-                            combine: Some(CombineCtx {
-                                step: rr,
-                                receiver: n,
-                                segment: s,
-                                received_count: counts[w][s],
-                                local_count: counts[n][s],
-                            }),
-                            delivered,
-                        });
-                        if delivered {
+                            segment: s,
+                            received_count: counts[w][s],
+                            local_count: counts[n][s],
+                        };
+                        transfers.push(lane.transfer((w, n), &chunks[s], (rr, s), Some(ctx), fate));
+                        if fate.delivered {
                             counts[n][s] += counts[w][s];
                         }
                     }
                 }
-                next_step += 1;
+                lane.advance(&transfers, first);
             }
-            // Phase 2: vertical ring per column over its own chunk, with
-            // column-local receiver ids in ctx — columns sequential in
-            // injector order, exactly as the legacy torus runs them.
+            // Phase 2: one vertical ring per column over its own chunk, with
+            // column-local receiver ids in ctx. The columns run concurrently
+            // from the same step; fates are drawn column by column.
+            let start = lane;
             for c in 0..cols {
                 let own = (c + 1) % cols;
                 let ranks: Vec<usize> = (0..rows).map(|row| row * cols + c).collect();
@@ -289,35 +440,30 @@ pub fn compile_plan(
                     .into_iter()
                     .map(|r| chunks[own].start + r.start..chunks[own].start + r.end)
                     .collect();
+                let mut column = start;
                 compile_ring_into(
                     &mut transfers,
-                    &mut next_step,
+                    &mut column,
                     &ranks,
                     &sub,
                     &column_counts,
                     0,
                     &mut inj,
                 );
+                lane.join(column);
             }
             // Phase 3: horizontal all-gather, reliable copies.
             for g in 0..cols - 1 {
-                let step = next_step;
+                let first = transfers.len();
                 for row in 0..rows {
                     for c in 0..cols {
                         let s = (c + 1 + cols - (g % cols)) % cols;
-                        fate_reliable(&mut inj);
-                        transfers.push(PlannedTransfer {
-                            step,
-                            sender: row * cols + c,
-                            receiver: row * cols + (c + 1) % cols,
-                            start: chunks[s].start,
-                            len: chunks[s].len(),
-                            combine: None,
-                            delivered: true,
-                        });
+                        let fate = reliable(&mut inj);
+                        let pair = (row * cols + c, row * cols + (c + 1) % cols);
+                        transfers.push(lane.transfer(pair, &chunks[s], (g, s), None, fate));
                     }
                 }
-                next_step += 1;
+                lane.advance(&transfers, first);
             }
         }
         PlanTopology::Tree => {
@@ -327,61 +473,46 @@ pub fn compile_plan(
                     got: world,
                 });
             }
+            // counts[w]: workers aggregated in w's subtree so far. A reduce
+            // transfer that exhausts its retry budget excludes the child's
+            // whole subtree; the counts stay exact either way.
             let mut counts = vec![1usize; world];
-            let mut stride = 1;
-            let mut level = 0;
             let mut levels = 0;
-            while stride < world {
-                let step = next_step;
-                let mut w = 0;
-                while w + stride < world {
-                    let delivered = fate(&mut inj);
-                    transfers.push(PlannedTransfer {
-                        step,
-                        sender: w + stride,
+            while (1usize << levels) < world {
+                let stride = 1usize << levels;
+                let first = transfers.len();
+                for w in (0..world - stride).step_by(2 * stride) {
+                    let fate = best_effort(&mut inj);
+                    let ctx = CombineCtx {
+                        step: levels,
                         receiver: w,
-                        start: 0,
-                        len: d,
-                        combine: Some(CombineCtx {
-                            step: level,
-                            receiver: w,
-                            segment: 0,
-                            received_count: counts[w + stride],
-                            local_count: counts[w],
-                        }),
-                        delivered,
-                    });
-                    if delivered {
+                        segment: 0,
+                        received_count: counts[w + stride],
+                        local_count: counts[w],
+                    };
+                    transfers.push(lane.transfer(
+                        (w + stride, w),
+                        &(0..d),
+                        (levels, 0),
+                        Some(ctx),
+                        fate,
+                    ));
+                    if fate.delivered {
                         counts[w] += counts[w + stride];
                     }
-                    w += 2 * stride;
                 }
-                next_step += 1;
-                stride *= 2;
-                level += 1;
+                lane.advance(&transfers, first);
                 levels += 1;
             }
-            // Broadcast the consensus back down, top level first. The
-            // legacy collectives only *trace* this phase; the engine
-            // executes the copies so every rank ends with the consensus.
-            for lv in (0..levels).rev() {
-                let stride = 1usize << lv;
-                let step = next_step;
-                let mut w = 0;
-                while w + stride < world {
-                    fate_reliable(&mut inj);
-                    transfers.push(PlannedTransfer {
-                        step,
-                        sender: w,
-                        receiver: w + stride,
-                        start: 0,
-                        len: d,
-                        combine: None,
-                        delivered: true,
-                    });
-                    w += 2 * stride;
+            // Broadcast the root's consensus back down, top level first.
+            for level in (0..levels).rev() {
+                let stride = 1usize << level;
+                let first = transfers.len();
+                for w in (0..world - stride).step_by(2 * stride) {
+                    let fate = reliable(&mut inj);
+                    transfers.push(lane.transfer((w, w + stride), &(0..d), (level, 0), None, fate));
                 }
-                next_step += 1;
+                lane.advance(&transfers, first);
             }
         }
         PlanTopology::SegRing { macro_segments } => {
@@ -403,22 +534,31 @@ pub fn compile_plan(
                     .into_iter()
                     .map(|r| range.start + r.start..range.start + r.end)
                     .collect();
+                // Pipeline s starts s steps (and s trace slots) into the
+                // shared ring; its hop telemetry claims the next window.
+                let mut pipeline = Lane {
+                    step: s,
+                    slot: s,
+                    seq: lane.seq,
+                };
                 compile_ring_into(
                     &mut transfers,
-                    &mut next_step,
+                    &mut pipeline,
                     &ranks,
                     &sub,
                     &vec![1; world],
                     s * world,
                     &mut inj,
                 );
+                lane.join(pipeline);
             }
         }
     }
     Ok(EnginePlan {
+        topology,
         world,
         d,
-        num_steps: next_step,
+        num_steps: lane.step,
         transfers,
     })
 }
@@ -439,8 +579,8 @@ fn disconnected(e: TransportError) -> SyncError {
 /// Per step: this rank's sends go out first (current state of each payload
 /// range), then each arriving payload is combined (or copied) into the
 /// local vector with the compile-time [`CombineCtx`]. Returns the rank's
-/// final full-length vector — at every rank this equals the legacy
-/// collective's consensus once the gather/broadcast copies have run.
+/// final full-length vector — at every rank this is the consensus once the
+/// gather/broadcast copies have run.
 ///
 /// # Errors
 ///
@@ -476,7 +616,8 @@ where
     for step in &mine {
         for t in step.iter().filter(|t| t.sender == rank) {
             let payload = state.slice(t.start, t.len);
-            let seq = rec.seq_of(t.step).unwrap_or(t.step as u64);
+            let slot = t.delivery().expanded_step;
+            let seq = rec.seq_of(slot).unwrap_or(slot as u64);
             transport
                 .send_words_traced(t.receiver, payload.as_words(), seq)
                 .map_err(disconnected)?;
@@ -502,26 +643,12 @@ where
                 None => state.splice(t.start, &received),
             }
             if rec.is_active() {
-                // One hop event per delivered transfer, recorded at the
-                // receiving end where both clocks (sender's send_ns from the
-                // propagated context, our own arrival time) are known.
+                // One hop event per delivered transfer — the final attempt of
+                // the plan's own telemetry — recorded at the receiving end
+                // where both clocks (sender's send_ns from the propagated
+                // context, our own arrival time) are known.
                 rec.hop_timed(
-                    &Hop {
-                        expanded_step: t.step,
-                        step: t.step,
-                        phase: if t.combine.is_some() {
-                            "reduce"
-                        } else {
-                            "gather"
-                        },
-                        sender: t.sender,
-                        receiver: rank,
-                        segment: t.combine.map_or(0, |c| c.segment),
-                        elems: t.len,
-                        bytes: t.len.div_ceil(8).max(1),
-                        attempt: 1,
-                        delivered: true,
-                    },
+                    &t.delivery(),
                     HopTiming {
                         round: ctx.map(|c| c.round),
                         send_ns: ctx.map(|c| c.send_ns),
@@ -533,13 +660,12 @@ where
     }
     // Ranks receive on different step subsets; claim the full plan width so
     // every rank's next collective starts at the same absolute seq.
-    rec.reserve_steps(plan.num_steps);
+    rec.reserve_steps(plan.seq_width());
     Ok(state)
 }
 
 /// Drives every rank of `plan` from one thread in deterministic lockstep
-/// over a simulated [`ChannelFabric`] — the legacy simulator, refactored
-/// behind the [`Transport`] trait. The fabric's simulated clock advances by
+/// over a simulated [`ChannelFabric`] — the simulator backend. The fabric's simulated clock advances by
 /// the α–β price of each step's largest payload.
 ///
 /// Returns each rank's final vector (index = rank).
@@ -650,12 +776,13 @@ where
 mod tests {
     use super::*;
     use marsit_simnet::FaultPlan;
+    use marsit_telemetry::{scoped, Telemetry};
     use marsit_tensor::rng::FastRng;
 
-    use crate::ring::{ring_allreduce_onebit, ring_allreduce_onebit_faulty};
-    use crate::segring::segring_allreduce_onebit;
-    use crate::torus::torus_allreduce_onebit;
-    use crate::tree::tree_allreduce_onebit;
+    use crate::ring::{
+        ring_allreduce_onebit, ring_allreduce_onebit_faulty, ring_allreduce_onebit_weighted_hooked,
+    };
+    use crate::torus::{torus_allreduce_onebit, torus_allreduce_onebit_faulty};
 
     fn link() -> LinkModel {
         LinkModel::new(25e-6, 1.25e9)
@@ -690,6 +817,21 @@ mod tests {
         }
     }
 
+    /// Every `(topology, world)` shape over `m` ranks.
+    fn shapes(m: usize) -> Vec<PlanTopology> {
+        let mut out = vec![PlanTopology::Ring, PlanTopology::Tree];
+        out.extend((1..=4).map(|macro_segments| PlanTopology::SegRing { macro_segments }));
+        out.extend(
+            (2..=m / 2)
+                .filter(|&rows| m.is_multiple_of(rows) && m / rows >= 2)
+                .map(|rows| PlanTopology::Torus {
+                    rows,
+                    cols: m / rows,
+                }),
+        );
+        out
+    }
+
     #[test]
     fn ring_lockstep_matches_legacy() {
         let (m, d, seed) = (8, 257, 11);
@@ -708,31 +850,6 @@ mod tests {
         let inputs = signs(rows * cols, d, seed);
         let (legacy, _) = torus_allreduce_onebit(&inputs, rows, cols, ctx_combine(seed));
         let plan = compile_plan(PlanTopology::Torus { rows, cols }, rows * cols, d, None).unwrap();
-        let out = run_lockstep(&plan, &inputs, link(), ctx_combine(seed)).unwrap();
-        assert_eq!(out[0].as_words(), legacy.as_words());
-        for state in &out {
-            assert_eq!(state.as_words(), legacy.as_words());
-        }
-    }
-
-    #[test]
-    fn tree_lockstep_matches_legacy() {
-        let (m, d, seed) = (6, 130, 5);
-        let inputs = signs(m, d, seed);
-        let (legacy, _) = tree_allreduce_onebit(&inputs, ctx_combine(seed));
-        let plan = compile_plan(PlanTopology::Tree, m, d, None).unwrap();
-        let out = run_lockstep(&plan, &inputs, link(), ctx_combine(seed)).unwrap();
-        for state in &out {
-            assert_eq!(state.as_words(), legacy.as_words());
-        }
-    }
-
-    #[test]
-    fn segring_lockstep_matches_legacy() {
-        let (m, s, d, seed) = (4, 3, 200, 17);
-        let inputs = signs(m, d, seed);
-        let (legacy, _) = segring_allreduce_onebit(&inputs, s, ctx_combine(seed));
-        let plan = compile_plan(PlanTopology::SegRing { macro_segments: s }, m, d, None).unwrap();
         let out = run_lockstep(&plan, &inputs, link(), ctx_combine(seed)).unwrap();
         for state in &out {
             assert_eq!(state.as_words(), legacy.as_words());
@@ -756,16 +873,160 @@ mod tests {
         assert_eq!(legacy_inj.take_stats(), engine_inj.take_stats());
     }
 
+    /// The plan's trace and hop events are the ring and torus collectives'
+    /// own, retries and the torus's concurrent column rings included.
+    #[test]
+    fn plan_trace_and_hops_match_ring_and_torus_collectives() {
+        let d = 301;
+        for (topology, world) in [
+            (PlanTopology::Ring, 8),
+            (PlanTopology::Ring, 5),
+            (PlanTopology::Torus { rows: 2, cols: 4 }, 8),
+            (PlanTopology::Torus { rows: 3, cols: 3 }, 9),
+        ] {
+            let inputs = signs(world, d, 3);
+            for drop_p in [None, Some(0.3)] {
+                let injector =
+                    || drop_p.map(|p| FaultPlan::seeded(9).with_link_drop(p).injector(1));
+                let legacy_tel = Telemetry::recording();
+                let legacy_trace = scoped(&legacy_tel, || {
+                    let combine = |_: &SignVec, _: &mut SignVec, _: CombineCtx| {};
+                    let (_, trace) = match (topology, injector()) {
+                        (PlanTopology::Torus { rows, cols }, Some(mut inj)) => {
+                            torus_allreduce_onebit_faulty(&inputs, rows, cols, &mut inj, combine)
+                                .unwrap()
+                        }
+                        (PlanTopology::Torus { rows, cols }, None) => {
+                            torus_allreduce_onebit(&inputs, rows, cols, combine)
+                        }
+                        (_, Some(mut inj)) => {
+                            ring_allreduce_onebit_faulty(&inputs, &mut inj, combine).unwrap()
+                        }
+                        (_, None) => {
+                            ring_allreduce_onebit_weighted_hooked(&inputs, 1, |_| {}, combine)
+                        }
+                    };
+                    trace
+                });
+                let plan_tel = Telemetry::recording();
+                let plan_trace = scoped(&plan_tel, || {
+                    let mut inj = injector();
+                    let plan = compile_plan(topology, world, d, inj.as_mut()).unwrap();
+                    plan.emit_hops();
+                    plan.trace()
+                });
+                let label = format!("{topology:?} drop={drop_p:?}");
+                assert_eq!(legacy_trace, plan_trace, "{label}: trace");
+                assert_eq!(
+                    legacy_tel.events_jsonl(),
+                    plan_tel.events_jsonl(),
+                    "{label}: hops"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clean_plans_trace_one_step_per_engine_step() {
+        for m in 2..=9 {
+            for d in [1, 3, m, 3 * m - 1, 100] {
+                for topology in shapes(m) {
+                    let plan = compile_plan(topology, m, d, None).unwrap();
+                    let label = format!("{topology:?} m={m} d={d}");
+                    assert_eq!(plan.num_steps, plan.trace().num_steps(), "{label}");
+                    assert!(plan.transfers.iter().all(|t| t.slot == t.step), "{label}");
+                    let expected = match topology {
+                        PlanTopology::Ring => 2 * (m - 1),
+                        PlanTopology::Torus { rows, cols } => 2 * (rows - 1) + 2 * (cols - 1),
+                        PlanTopology::Tree => 2 * m.next_power_of_two().trailing_zeros() as usize,
+                        PlanTopology::SegRing { macro_segments } => {
+                            2 * (m - 1) + macro_segments.min(d) - 1
+                        }
+                    };
+                    assert_eq!(plan.num_steps, expected, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segring_with_one_macro_segment_is_the_ring() {
+        for (m, d) in [(5, 100), (4, 3)] {
+            let ring = compile_plan(PlanTopology::Ring, m, d, None).unwrap();
+            let seg =
+                compile_plan(PlanTopology::SegRing { macro_segments: 1 }, m, d, None).unwrap();
+            assert_eq!(ring.transfers, seg.transfers);
+        }
+    }
+
+    #[test]
+    fn segring_pipelines_keep_combine_streams_distinct() {
+        let (m, d) = (3, 30);
+        let plan = compile_plan(PlanTopology::SegRing { macro_segments: 2 }, m, d, None).unwrap();
+        let keys: std::collections::HashSet<(usize, usize, usize)> = plan
+            .transfers
+            .iter()
+            .filter_map(|t| t.combine)
+            .map(|c| (c.segment, c.step, c.receiver))
+            .collect();
+        // 2 macro-segments × (m−1) steps × m combines, all distinct.
+        assert_eq!(keys.len(), 2 * (m - 1) * m);
+    }
+
+    #[test]
+    fn tree_plan_counts_cover_all_workers() {
+        for m in [2usize, 3, 6, 8, 11] {
+            let plan = compile_plan(PlanTopology::Tree, m, 24, None).unwrap();
+            let root = plan
+                .transfers
+                .iter()
+                .filter_map(|t| t.combine)
+                .map(|c| c.received_count + c.local_count)
+                .max();
+            assert_eq!(root, Some(m), "m={m}");
+            // Every transfer carries the full payload: 24 bits -> 3 bytes.
+            assert!(plan.transfers.iter().all(|t| t.bytes() == 3), "m={m}");
+        }
+    }
+
+    #[test]
+    fn faulty_plans_are_deterministic_and_expand_retries() {
+        let fault_plan = FaultPlan::seeded(2).with_link_drop(0.5);
+        for topology in shapes(8) {
+            let compile = || {
+                let mut inj = fault_plan.injector(0);
+                let plan = compile_plan(topology, 8, 64, Some(&mut inj)).unwrap();
+                (plan, inj.take_stats())
+            };
+            let (plan, stats) = compile();
+            assert_eq!((plan.clone(), stats), compile(), "{topology:?}");
+            assert!(stats.retransmits > 0, "{topology:?}");
+            // Dropped reduce hops exclude the sender's aggregate, so no
+            // combine ever reports more than the world.
+            assert!(plan
+                .transfers
+                .iter()
+                .filter_map(|t| t.combine)
+                .all(|c| c.received_count + c.local_count <= 8));
+            let trace = plan.trace();
+            let attempts: usize = plan.transfers.iter().map(|t| t.attempts as usize).sum();
+            assert_eq!(trace.steps().iter().map(Vec::len).sum::<usize>(), attempts);
+            assert!(trace.num_steps() > plan.num_steps, "{topology:?}");
+        }
+    }
+
     #[test]
     fn threaded_matches_lockstep_bit_for_bit() {
         let (m, d, seed) = (8, 511, 77);
         let inputs = signs(m, d, seed);
-        let plan = compile_plan(PlanTopology::Ring, m, d, None).unwrap();
-        let lock = run_lockstep(&plan, &inputs, link(), ctx_combine(seed)).unwrap();
-        for _ in 0..5 {
-            let thr = run_threaded(&plan, &inputs, link(), |_| ctx_combine(seed)).unwrap();
-            for (a, b) in lock.iter().zip(&thr) {
-                assert_eq!(a.as_words(), b.as_words());
+        for topology in shapes(m) {
+            let plan = compile_plan(topology, m, d, None).unwrap();
+            let lock = run_lockstep(&plan, &inputs, link(), ctx_combine(seed)).unwrap();
+            for _ in 0..3 {
+                let thr = run_threaded(&plan, &inputs, link(), |_| ctx_combine(seed)).unwrap();
+                for (a, b) in lock.iter().zip(&thr) {
+                    assert_eq!(a.as_words(), b.as_words(), "{topology:?}");
+                }
             }
         }
     }

@@ -7,9 +7,11 @@
 //!   sign-sums (the MAR extensions of signSGD baselines), and one-bit
 //!   payloads with a pluggable combine operator (where Marsit's `⊙` lives);
 //! - [`torus`]: 2D-torus all-reduce (TAR) versions of the same three;
-//! - [`tree`] / [`segring`]: the extension paradigms the paper names
-//!   (binary-tree all-reduce and segmented-ring all-reduce), with one-bit
-//!   variants proving Marsit composes over them too;
+//! - [`engine`]: compiled schedules ([`EnginePlan`]) for all four multi-hop
+//!   paradigms — ring, 2D torus, and the extension paradigms the paper
+//!   names (binary-tree and segmented-ring all-reduce) — with the trace and
+//!   hop telemetry derived from the plan and executors for the simulator,
+//!   thread and process backends;
 //! - [`gossip`]: decentralized neighbour averaging, the slow-consensus
 //!   baseline the introduction contrasts with MAR;
 //! - [`ps`]: parameter-server exchanges for the single-hop baselines;
@@ -36,10 +38,8 @@ pub mod gossip;
 pub mod ps;
 pub mod reconfigure;
 pub mod ring;
-pub mod segring;
 pub mod torus;
 pub mod trace;
-pub mod tree;
 
 pub use engine::{
     compile_plan, run_lockstep, run_rank, run_threaded, EnginePlan, PlanTopology, PlannedTransfer,

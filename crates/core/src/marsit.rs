@@ -19,11 +19,10 @@
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use marsit_collectives::engine::{compile_plan, run_threaded, PlanTopology};
+use marsit_collectives::engine::{compile_plan, run_threaded, EnginePlan, PlanTopology};
 use marsit_collectives::ring::{
-    ring_allreduce_onebit_faulty, ring_allreduce_onebit_planned,
-    ring_allreduce_onebit_weighted_hooked, ring_allreduce_sum, ring_allreduce_sum_faulty,
-    RingOnebitScratch, StepCombine,
+    ring_allreduce_onebit_faulty, ring_allreduce_onebit_planned, ring_allreduce_sum,
+    ring_allreduce_sum_faulty, RingOnebitScratch, StepCombine,
 };
 use marsit_collectives::torus::{
     torus_allreduce_onebit_faulty, torus_allreduce_onebit_hooked, torus_allreduce_sum,
@@ -31,7 +30,7 @@ use marsit_collectives::torus::{
 use marsit_collectives::{
     CombineCtx, DegradedMode, EffectiveTopology, PlannedHop, SyncError, TopologyReconfigurer, Trace,
 };
-use marsit_simnet::{Backend, FaultInjector, FaultPlan, FaultStats, LinkModel, Topology};
+use marsit_simnet::{Backend, FaultPlan, FaultStats, LinkModel, Topology};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::{fill_bernoulli_masks_indexed, ScaledSignLut, SignVec};
 
@@ -68,9 +67,9 @@ pub struct MarsitConfig {
     /// default; a none plan takes the exact fault-free code path).
     pub fault_plan: FaultPlan,
     /// Which transport backend executes the one-bit collectives.
-    /// [`Backend::Simulator`] (the default) runs the legacy in-process
-    /// schedules; [`Backend::Threaded`] compiles the same schedule to an
-    /// engine plan and runs one OS thread per worker over in-process
+    /// [`Backend::Simulator`] (the default) runs the in-process ring and
+    /// torus collectives; [`Backend::Threaded`] compiles the same schedule
+    /// to an engine plan and runs one OS thread per worker over in-process
     /// channels — bit-identical consensus, traces, and telemetry via the
     /// ctx-addressed RNG contract. [`Backend::Process`] cannot run inside
     /// one `Marsit` instance (workers are separate OS processes); drive it
@@ -566,7 +565,7 @@ impl StepCombine for PlannerOp<'_> {
 /// The link every in-process engine backend prices its fabric with. Only the
 /// simulator clock reads it, so the choice never perturbs payload bits; the
 /// public-cloud α–β profile keeps simulated timings consistent with the
-/// legacy collectives' pricing.
+/// in-process collectives' pricing.
 pub(crate) fn engine_link() -> LinkModel {
     marsit_simnet::RateProfile::public_cloud().link
 }
@@ -595,94 +594,26 @@ pub(crate) fn engine_combine<'a>(
     }
 }
 
-/// Runs a clean one-bit round on the threaded engine backend.
-///
-/// The [`Trace`] and per-hop telemetry come from a zero-payload walk of the
-/// *legacy* schedule on the caller thread — both depend only on shapes and
-/// schedules, never payload bits, so they are byte-identical to the
-/// simulator backend. The sign words themselves flow rank-per-OS-thread over
-/// a `ChannelFabric`, combined with the frozen per-hop RNG streams; the
-/// engine also executes the gather the legacy path only traces, so every
-/// rank (rank 0 included) lands on the legacy consensus.
-fn engine_onebit_clean(
+/// Runs one one-bit round on the threaded engine backend: `plan` runs
+/// rank-per-OS-thread over a `ChannelFabric`, combined with the frozen
+/// per-hop RNG streams. The [`Trace`] and per-hop telemetry come from the
+/// plan itself — they depend only on the schedule and the fates drawn at
+/// compile time, never on payload bits — so they are byte-identical to the
+/// simulator backend's. The engine also executes the gather copies, so
+/// every rank (rank 0 included) lands on the consensus.
+fn engine_onebit(
+    plan: &EnginePlan,
     signs: &[SignVec],
-    topology: Topology,
     round_seed: u64,
     kind: CombineKind,
-    combines: &Cell<u64>,
-    rng_draws: &Cell<u64>,
-) -> (SignVec, Trace) {
-    let m = signs.len();
-    let d = signs[0].len();
-    let plan_topology = match topology {
-        Topology::Ring { .. } => PlanTopology::Ring,
-        Topology::Torus { rows, cols } => PlanTopology::Torus { rows, cols },
-        Topology::Star { .. } => {
-            panic!("Marsit is a multi-hop all-reduce framework; star/PS is unsupported")
-        }
-    };
-    let plan = compile_plan(plan_topology, m, d, None)
-        .expect("full-membership clean plans always compile");
-    let dummy: Vec<SignVec> = vec![SignVec::zeros(d); m];
-    let (_, trace) = match topology {
-        Topology::Ring { .. } => {
-            ring_allreduce_onebit_weighted_hooked(&dummy, 1, |_| {}, |_, _, _| {})
-        }
-        Topology::Torus { rows, cols } => {
-            torus_allreduce_onebit_hooked(&dummy, rows, cols, |_| {}, |_, _, _| {})
-        }
-        Topology::Star { .. } => unreachable!(),
-    };
-    let total_combines = AtomicU64::new(0);
-    let total_draws = AtomicU64::new(0);
-    let mut states = run_threaded(&plan, signs, engine_link(), |_rank| {
-        engine_combine(round_seed, kind, &total_combines, &total_draws)
-    })
-    .expect("clean engine runs cannot fail");
-    combines.set(combines.get() + total_combines.load(Ordering::Relaxed));
-    rng_draws.set(rng_draws.get() + total_draws.load(Ordering::Relaxed));
-    (states.swap_remove(0), trace)
-}
-
-/// Runs a faulty one-bit round on the threaded engine backend.
-///
-/// `compile_plan` consumes `inj` in the legacy canonical order, so transfer
-/// fates, retry stats, and the injector's RNG position all match the
-/// sequential path exactly; a pre-compile clone replays the same fates
-/// through a zero-payload walk of the legacy schedule for the byte-identical
-/// [`Trace`] and hop telemetry.
-fn engine_onebit_faulty(
-    signs: &[SignVec],
-    effective: EffectiveTopology,
-    inj: &mut FaultInjector,
-    round_seed: u64,
-    kind: CombineKind,
-    combines: &Cell<u64>,
-    rng_draws: &Cell<u64>,
+    combines: &AtomicU64,
+    rng_draws: &AtomicU64,
 ) -> Result<(SignVec, Trace), SyncError> {
-    let m = signs.len();
-    let d = signs[0].len();
-    let plan_topology = match effective {
-        EffectiveTopology::Torus { rows, cols } => PlanTopology::Torus { rows, cols },
-        _ => PlanTopology::Ring,
-    };
-    let mut walk_inj = inj.clone();
-    let plan = compile_plan(plan_topology, m, d, Some(inj))?;
-    let dummy: Vec<SignVec> = vec![SignVec::zeros(d); m];
-    let (_, trace) = match plan_topology {
-        PlanTopology::Torus { rows, cols } => {
-            torus_allreduce_onebit_faulty(&dummy, rows, cols, &mut walk_inj, |_, _, _| {})?
-        }
-        _ => ring_allreduce_onebit_faulty(&dummy, &mut walk_inj, |_, _, _| {})?,
-    };
-    let total_combines = AtomicU64::new(0);
-    let total_draws = AtomicU64::new(0);
-    let mut states = run_threaded(&plan, signs, engine_link(), |_rank| {
-        engine_combine(round_seed, kind, &total_combines, &total_draws)
+    plan.emit_hops();
+    let mut states = run_threaded(plan, signs, engine_link(), |_rank| {
+        engine_combine(round_seed, kind, combines, rng_draws)
     })?;
-    combines.set(combines.get() + total_combines.load(Ordering::Relaxed));
-    rng_draws.set(rng_draws.get() + total_draws.load(Ordering::Relaxed));
-    Ok((states.swap_remove(0), trace))
+    Ok((states.swap_remove(0), plan.trace()))
 }
 
 /// The Marsit synchronizer: compensation state for `M` workers plus the
@@ -1033,14 +964,28 @@ impl Marsit {
             let round_seed = split_seed(self.cfg.seed, t);
             planner.reset(round_seed, self.cfg.combine);
             let consensus = if self.cfg.backend == Backend::Threaded {
-                let (consensus, trace) = engine_onebit_clean(
+                let plan_topology = match topology {
+                    Topology::Ring { .. } => PlanTopology::Ring,
+                    Topology::Torus { rows, cols } => PlanTopology::Torus { rows, cols },
+                    Topology::Star { .. } => {
+                        panic!("Marsit is a multi-hop all-reduce framework; star/PS is unsupported")
+                    }
+                };
+                let plan = compile_plan(plan_topology, m, d, None)
+                    .expect("full-membership clean plans always compile");
+                let engine_combines = AtomicU64::new(0);
+                let engine_draws = AtomicU64::new(0);
+                let (consensus, trace) = engine_onebit(
+                    &plan,
                     signs,
-                    topology,
                     round_seed,
                     self.cfg.combine,
-                    &combines,
-                    &rng_draws,
-                );
+                    &engine_combines,
+                    &engine_draws,
+                )
+                .expect("clean engine runs cannot fail");
+                combines.set(engine_combines.into_inner());
+                rng_draws.set(engine_draws.into_inner());
                 out.trace = trace;
                 consensus
             } else {
@@ -1231,8 +1176,8 @@ impl Marsit {
         }
 
         let full_precision = self.cfg.schedule.is_full_precision(t);
-        let combines = Cell::new(0u64);
-        let rng_draws = Cell::new(0u64);
+        let combines = AtomicU64::new(0);
+        let rng_draws = AtomicU64::new(0);
         let mut inj = plan.injector(t);
         let (effective, mut degraded) = TopologyReconfigurer::new(topology, m).effective(&live);
         // Fallback for terminal/error modes: a degenerate local-only round
@@ -1276,36 +1221,22 @@ impl Marsit {
                 }
                 let round_seed = split_seed(self.cfg.seed, t);
                 let kind = self.cfg.combine;
-                let combine =
-                    |recv: &SignVec, local: &mut SignVec, ctx: marsit_collectives::CombineCtx| {
-                        let stream = ((ctx.receiver as u64) << 40)
-                            | ((ctx.segment as u64) << 20)
-                            | ctx.step as u64;
-                        let mut rng = FastRng::new(round_seed, stream);
-                        match kind {
-                            CombineKind::Weighted => combine_weighted_assign(
-                                recv,
-                                ctx.received_count,
-                                local,
-                                ctx.local_count,
-                                &mut rng,
-                            ),
-                            CombineKind::UnweightedAblation => {
-                                combine_unweighted_assign(recv, local, &mut rng)
-                            }
-                        }
-                        combines.set(combines.get() + 1);
-                        rng_draws.set(rng_draws.get() + rng.draws());
-                    };
                 let result = if self.cfg.backend == Backend::Threaded {
-                    engine_onebit_faulty(
-                        signs, effective, &mut inj, round_seed, kind, &combines, &rng_draws,
-                    )
+                    // A full-membership torus keeps its hierarchical
+                    // schedule; any partial live set re-forms as a ring
+                    // over the live workers.
+                    let plan_topology = match effective {
+                        EffectiveTopology::Torus { rows, cols } => {
+                            PlanTopology::Torus { rows, cols }
+                        }
+                        _ => PlanTopology::Ring,
+                    };
+                    compile_plan(plan_topology, lm, d, Some(&mut inj)).and_then(|schedule| {
+                        engine_onebit(&schedule, signs, round_seed, kind, &combines, &rng_draws)
+                    })
                 } else {
+                    let combine = engine_combine(round_seed, kind, &combines, &rng_draws);
                     match effective {
-                        // A full-membership torus keeps its hierarchical
-                        // schedule; any partial live set re-forms as a ring
-                        // over the live workers.
                         EffectiveTopology::Torus { rows, cols } => {
                             torus_allreduce_onebit_faulty(signs, rows, cols, &mut inj, combine)
                         }
@@ -1347,7 +1278,7 @@ impl Marsit {
             faults: stats,
             degraded,
         };
-        self.emit_sync_event(&outcome, combines.get(), rng_draws.get());
+        self.emit_sync_event(&outcome, combines.into_inner(), rng_draws.into_inner());
         outcome
     }
 

@@ -10,14 +10,16 @@
 //! - transient combine masks are per-hop streams keyed by
 //!   `(receiver, segment, step)` (the DESIGN.md §9 frozen contract);
 //! - transfer fates come from a seeded [`FaultInjector`] consumed in the
-//!   legacy canonical schedule order by [`compile_plan`].
+//!   canonical schedule order by [`compile_plan`].
 //!
-//! Three runners share that contract:
+//! Every runner executes the same compiled [`EnginePlan`], and the driver
+//! takes the wire trace and per-hop telemetry from that plan, so they are
+//! identical across backends by construction:
 //!
-//! - [`Scenario::run_simulator`] — the legacy sequential collectives,
-//!   unchanged (the deterministic-simulator backend);
-//! - [`Scenario::run_threaded`] — the compiled engine over an in-process
-//!   channel fabric, one OS thread per rank;
+//! - [`Scenario::run_simulator`] — every rank in deterministic lockstep on
+//!   one thread over a simulated fabric;
+//! - [`Scenario::run_threaded`] — an in-process channel fabric, one OS
+//!   thread per rank;
 //! - [`Scenario::run_process`] — one OS *process* per rank speaking
 //!   `marsit-wire/1` over localhost TCP through a [`WireHub`], with
 //!   [`process_worker_main`] as the worker entry point.
@@ -30,14 +32,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use marsit_collectives::engine::{compile_plan, run_rank, run_threaded, PlanTopology};
-use marsit_collectives::ring::{
-    ring_allreduce_onebit_faulty, ring_allreduce_onebit_weighted_hooked,
+use marsit_collectives::engine::{
+    compile_plan, run_lockstep, run_rank, run_threaded, EnginePlan, PlanTopology,
 };
-use marsit_collectives::segring::{segring_allreduce_onebit, segring_allreduce_onebit_faulty};
-use marsit_collectives::torus::{torus_allreduce_onebit_faulty, torus_allreduce_onebit_hooked};
-use marsit_collectives::tree::{tree_allreduce_onebit, tree_allreduce_onebit_faulty};
-use marsit_collectives::{CombineCtx, SyncError, Trace};
+use marsit_collectives::{SyncError, Trace};
 use marsit_simnet::{
     Backend, FaultInjector, FaultPlan, FaultStats, Frame, FrameKind, HubEvent, ProcessTransport,
     WireHub, DRIVER,
@@ -189,8 +187,8 @@ pub struct TracedRun {
 }
 
 /// What a backend produced for a scenario; the conformance contract is that
-/// every field except `trace` timings is byte-identical across backends
-/// (and `trace` is too, since it comes from the same schedule walk).
+/// every field is byte-identical across backends (`trace` trivially so: it
+/// comes from the scenario's compiled plan).
 #[derive(Debug, Clone)]
 pub struct RunArtifacts {
     /// The consensus sign vector (identical on every rank).
@@ -212,44 +210,19 @@ impl RunArtifacts {
     }
 }
 
-/// Runs `f` under the legacy one-bit collective selected by `topo`,
-/// clean or faulty. This is both the reference backend and the
-/// trace/telemetry walk the engine backends replay on zero payloads.
-fn legacy_onebit<F>(
-    topo: TopoKind,
-    signs: &[SignVec],
-    inj: Option<&mut FaultInjector>,
-    combine: F,
-) -> Result<(SignVec, Trace), SyncError>
-where
-    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
-{
-    match (topo, inj) {
-        (TopoKind::Ring, None) => Ok(ring_allreduce_onebit_weighted_hooked(
-            signs,
-            1,
-            |_| {},
-            combine,
-        )),
-        (TopoKind::Ring, Some(inj)) => ring_allreduce_onebit_faulty(signs, inj, combine),
-        (TopoKind::Torus { rows, cols }, None) => Ok(torus_allreduce_onebit_hooked(
-            signs,
-            rows,
-            cols,
-            |_| {},
-            combine,
-        )),
-        (TopoKind::Torus { rows, cols }, Some(inj)) => {
-            torus_allreduce_onebit_faulty(signs, rows, cols, inj, combine)
-        }
-        (TopoKind::Tree, None) => Ok(tree_allreduce_onebit(signs, combine)),
-        (TopoKind::Tree, Some(inj)) => tree_allreduce_onebit_faulty(signs, inj, combine),
-        (TopoKind::SegRing { macro_segments }, None) => {
-            Ok(segring_allreduce_onebit(signs, macro_segments, combine))
-        }
-        (TopoKind::SegRing { macro_segments }, Some(inj)) => {
-            segring_allreduce_onebit_faulty(signs, macro_segments, inj, combine)
-        }
+/// Every rank converged on the consensus (the engine executes the
+/// gather/broadcast copies); reports rank 0's words with the plan's trace.
+fn artifacts(
+    plan: &EnginePlan,
+    mut states: Vec<SignVec>,
+    combines: &AtomicU64,
+    draws: &AtomicU64,
+) -> RunArtifacts {
+    RunArtifacts {
+        consensus: states.swap_remove(0),
+        combines: combines.load(Ordering::Relaxed),
+        rng_draws: draws.load(Ordering::Relaxed),
+        trace: plan.trace(),
     }
 }
 
@@ -293,36 +266,31 @@ impl Scenario {
         })
     }
 
-    /// Reference run: the legacy sequential collectives (the simulator
-    /// backend), with the ctx-derived unbatched combine.
+    /// The scenario's compiled plan, fates drawn from a fresh injector.
     ///
     /// # Errors
     ///
-    /// Returns the legacy collective's typed error for impossible shapes.
+    /// Returns [`compile_plan`]'s typed error for impossible shapes.
+    pub fn plan(&self) -> Result<EnginePlan, SyncError> {
+        let mut inj = self.injector();
+        compile_plan(self.topo.plan(), self.world, self.d, inj.as_mut())
+    }
+
+    /// Simulator backend: every rank in deterministic lockstep on the
+    /// calling thread, with the ctx-derived unbatched combine.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Self::plan`]'s typed error for impossible shapes.
     pub fn run_simulator(&self) -> Result<RunArtifacts, SyncError> {
         tag_telemetry(Backend::Simulator);
+        let plan = self.plan()?;
+        plan.emit_hops();
         let combines = AtomicU64::new(0);
         let draws = AtomicU64::new(0);
         let combine = engine_combine(self.round_seed(), self.combine, &combines, &draws);
-        let mut inj = self.injector();
-        let (consensus, trace) = legacy_onebit(self.topo, &self.inputs(), inj.as_mut(), combine)?;
-        Ok(RunArtifacts {
-            consensus,
-            combines: combines.load(Ordering::Relaxed),
-            rng_draws: draws.load(Ordering::Relaxed),
-            trace,
-        })
-    }
-
-    /// Zero-payload walk of the legacy schedule: emits the byte-identical
-    /// [`Trace`] and per-hop telemetry for an engine-backed run without
-    /// duplicating any emission code (both depend only on shapes and
-    /// transfer fates, never payload bits).
-    fn walk_trace(&self) -> Result<Trace, SyncError> {
-        let dummy = vec![SignVec::zeros(self.d); self.world];
-        let mut inj = self.injector();
-        let (_, trace) = legacy_onebit(self.topo, &dummy, inj.as_mut(), |_, _, _| {})?;
-        Ok(trace)
+        let states = run_lockstep(&plan, &self.inputs(), engine_link(), combine)?;
+        Ok(artifacts(&plan, states, &combines, &draws))
     }
 
     /// Threaded backend: the compiled engine over an in-process channel
@@ -333,25 +301,16 @@ impl Scenario {
     /// Returns the same typed errors as [`Self::run_simulator`].
     pub fn run_threaded(&self) -> Result<RunArtifacts, SyncError> {
         tag_telemetry(Backend::Threaded);
-        let trace = self.walk_trace()?;
-        let mut inj = self.injector();
-        let plan = compile_plan(self.topo.plan(), self.world, self.d, inj.as_mut())?;
+        let plan = self.plan()?;
+        plan.emit_hops();
         let combines = AtomicU64::new(0);
         let draws = AtomicU64::new(0);
         let round_seed = self.round_seed();
         let kind = self.combine;
-        let mut states = run_threaded(&plan, &self.inputs(), engine_link(), |_rank| {
+        let states = run_threaded(&plan, &self.inputs(), engine_link(), |_rank| {
             engine_combine(round_seed, kind, &combines, &draws)
         })?;
-        // Every rank converged on the consensus (the engine executes the
-        // gather/broadcast copies); report rank 0's words.
-        let consensus = states.swap_remove(0);
-        Ok(RunArtifacts {
-            consensus,
-            combines: combines.load(Ordering::Relaxed),
-            rng_draws: draws.load(Ordering::Relaxed),
-            trace,
-        })
+        Ok(artifacts(&plan, states, &combines, &draws))
     }
 
     /// Process backend: spawns one OS process per rank running `worker_exe`
@@ -370,6 +329,8 @@ impl Scenario {
     /// cannot be spawned, or the session times out.
     pub fn run_process(&self, worker_exe: &str) -> Result<RunArtifacts, SyncError> {
         tag_telemetry(Backend::Process);
+        let plan = self.plan()?;
+        plan.emit_hops();
         let hub = WireHub::bind(self.world).expect("bind conformance hub");
         let addr = hub.addr().expect("hub addr").to_string();
         let mut children: Vec<std::process::Child> = (0..self.world)
@@ -390,7 +351,7 @@ impl Scenario {
             consensus,
             combines,
             rng_draws,
-            trace: self.walk_trace()?,
+            trace: plan.trace(),
         })
     }
 
@@ -709,9 +670,7 @@ pub fn process_worker_main() {
                     std::thread::sleep(Duration::from_nanos(ns));
                 }
                 let inputs = sc.inputs();
-                let mut inj = sc.injector();
-                let plan = compile_plan(sc.topo.plan(), sc.world, sc.d, inj.as_mut())
-                    .expect("scenario plan compiles");
+                let plan = sc.plan().expect("scenario plan compiles");
                 let combines = AtomicU64::new(0);
                 let draws = AtomicU64::new(0);
                 let combine = engine_combine(sc.round_seed(), sc.combine, &combines, &draws);

@@ -590,7 +590,7 @@ unsafe fn residual_norm_sq_striped_avx512(words: &[u64], h: &[f32], lut: &Scaled
 /// assert_eq!(v.to_signs(), vec![1.0, -1.0, 1.0, -1.0]);
 /// assert_eq!(v.count_ones(), 2);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct SignVec {
     len: usize,
     words: Vec<u64>,

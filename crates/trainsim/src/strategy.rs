@@ -38,7 +38,7 @@ use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::SignVec;
 
 /// Configuration-level strategy selection.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StrategyKind {
     /// Full-precision parallel SGD (no compression).
     Psgd,

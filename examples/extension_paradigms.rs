@@ -7,9 +7,7 @@
 //! cargo run --release --example extension_paradigms
 //! ```
 
-use marsit::collectives::ring::ring_allreduce_onebit;
-use marsit::collectives::segring::segring_allreduce_onebit;
-use marsit::collectives::tree::tree_allreduce_onebit;
+use marsit::collectives::{compile_plan, run_lockstep, PlanTopology};
 use marsit::core::ominus::combine_weighted_assign;
 use marsit::prelude::*;
 use marsit::trainsim::train_gossip;
@@ -36,25 +34,26 @@ fn one_bit_over_every_paradigm() {
         "paradigm", "steps", "total bytes", "E[bit] error"
     );
     let trials = 400u64;
-    for paradigm in ["ring (RAR)", "segmented ring", "binary tree"] {
-        let mut total_steps = 0;
-        let mut total_bytes = 0;
+    let link = RateProfile::public_cloud().link;
+    for (paradigm, topology) in [
+        ("ring (RAR)", PlanTopology::Ring),
+        (
+            "segmented ring",
+            PlanTopology::SegRing { macro_segments: 4 },
+        ),
+        ("binary tree", PlanTopology::Tree),
+    ] {
+        let plan = compile_plan(topology, m, d, None).expect("valid shape");
+        let trace = plan.trace();
         let mut ones = vec![0u32; d];
         for trial in 0..trials {
             let mut rng = FastRng::new(100 + trial, 0);
-            let mut combine =
-                |r: &SignVec, l: &mut SignVec, ctx: marsit::collectives::CombineCtx| {
-                    combine_weighted_assign(r, ctx.received_count, l, ctx.local_count, &mut rng);
-                };
-            let (out, trace) = match paradigm {
-                "ring (RAR)" => ring_allreduce_onebit(&signs, &mut combine),
-                "segmented ring" => segring_allreduce_onebit(&signs, 4, &mut combine),
-                _ => tree_allreduce_onebit(&signs, &mut combine),
+            let combine = |r: &SignVec, l: &mut SignVec, ctx: marsit::collectives::CombineCtx| {
+                combine_weighted_assign(r, ctx.received_count, l, ctx.local_count, &mut rng);
             };
-            total_steps = trace.num_steps();
-            total_bytes = trace.total_bytes();
+            let out = run_lockstep(&plan, &signs, link, combine).expect("clean plans run");
             for (j, o) in ones.iter_mut().enumerate() {
-                *o += u32::from(out.get(j));
+                *o += u32::from(out[0].get(j));
             }
         }
         // Mean absolute deviation of E[bit] from the true mean sign rate.
@@ -67,8 +66,8 @@ fn one_bit_over_every_paradigm() {
         println!(
             "{:<18} {:>7} {:>12} {:>16.4}",
             paradigm,
-            total_steps,
-            total_bytes,
+            trace.num_steps(),
+            trace.total_bytes(),
             err / d as f64
         );
     }

@@ -17,12 +17,14 @@
 //! `2(M−1)·D` for ring / tree / segmented ring, and
 //! `2(C−1)·R·D + 2(R−1)·D` for an `R×C` torus (the same formula
 //! `trainsim::elements_per_round` prices wire width with).
+//!
+//! Traces derived from a compiled [`EnginePlan`] obey the same laws, and
+//! under link drops every wire attempt is accounted: the trace total is
+//! `Σ bytes × attempts` over the plan's transfers.
 
 use marsit::collectives::ring::ring_allreduce_onebit;
-use marsit::collectives::segring::segring_allreduce_onebit;
 use marsit::collectives::torus::torus_allreduce_onebit;
-use marsit::collectives::tree::tree_allreduce_onebit;
-use marsit::collectives::{CombineCtx, Trace};
+use marsit::collectives::{compile_plan, CombineCtx, EnginePlan, PlanTopology, Trace};
 use marsit::prelude::*;
 use proptest::prelude::*;
 
@@ -37,6 +39,29 @@ fn random_signs(m: usize, d: usize, seed: u64) -> Vec<SignVec> {
 /// ranges: every step lists its per-transfer byte counts.
 fn transfer_count(trace: &Trace) -> usize {
     trace.steps().iter().map(Vec::len).sum()
+}
+
+/// Compiles `topology` over `m` ranks, clean or with 30% link drops drawn
+/// from `drop_seed`.
+fn plan(topology: PlanTopology, m: usize, d: usize, drop_seed: Option<u64>) -> EnginePlan {
+    let mut inj = drop_seed.map(|seed| FaultPlan::seeded(seed).with_link_drop(0.3).injector(0));
+    compile_plan(topology, m, d, inj.as_mut()).expect("valid shape")
+}
+
+/// A plan's trace carries every wire attempt of every transfer — and, for a
+/// clean plan, one trace step per engine step — and obeys the packing bound
+/// over the elements those attempts move.
+fn assert_plan_conservation(plan: &EnginePlan, label: &str) {
+    let trace = plan.trace();
+    let clean = plan.transfers.iter().all(|t| t.attempts == 1);
+    if clean {
+        assert_eq!(plan.num_steps, trace.num_steps(), "{label}: steps");
+    }
+    let attempts = |t: &marsit::collectives::PlannedTransfer| t.attempts as usize;
+    let bytes: usize = plan.transfers.iter().map(|t| t.bytes() * attempts(t)).sum();
+    assert_eq!(trace.total_bytes(), bytes, "{label}: bytes × attempts");
+    let elements: usize = plan.transfers.iter().map(|t| t.len * attempts(t)).sum();
+    assert_bit_conservation(&trace, elements, label);
 }
 
 fn assert_bit_conservation(trace: &Trace, elements_moved: usize, label: &str) {
@@ -91,9 +116,7 @@ fn tree_onebit_wire_bytes_match_closed_form() {
     // Every non-root sends its full payload up exactly once and receives
     // the result exactly once: 2(M−1) transfers of ⌈D/8⌉ bytes.
     for (m, d) in [(2usize, 32usize), (5, 80), (8, 128)] {
-        let signs = random_signs(m, d, 13);
-        let mut combine = |r: &SignVec, l: &mut SignVec, _ctx: CombineCtx| l.and_assign(r);
-        let (_, trace) = tree_allreduce_onebit(&signs, &mut combine);
+        let trace = plan(PlanTopology::Tree, m, d, None).trace();
         assert_eq!(transfer_count(&trace), 2 * (m - 1), "tree({m}) transfers");
         assert_eq!(
             trace.total_bytes(),
@@ -109,12 +132,8 @@ fn segring_onebit_wire_bytes_within_bounds() {
     // S parallel macro-segment rings each move 2(M−1)·(segment length)
     // elements; the union moves 2(M−1)·D.
     for (m, s, d) in [(4usize, 2usize, 64usize), (6, 3, 90), (5, 4, 77)] {
-        let signs = random_signs(m, d, 17);
-        let mut combine = |r: &SignVec, l: &mut SignVec, _ctx: CombineCtx| {
-            l.xor_assign(r);
-            l.not_assign();
-        };
-        let (_, trace) = segring_allreduce_onebit(&signs, s, &mut combine);
+        let topology = PlanTopology::SegRing { macro_segments: s };
+        let trace = plan(topology, m, d, None).trace();
         assert_bit_conservation(
             &trace,
             2 * (m - 1) * d,
@@ -138,14 +157,24 @@ proptest! {
         let (_, ring) = ring_allreduce_onebit(&signs, |r, l, _ctx: CombineCtx| l.and_assign(r));
         assert_bit_conservation(&ring, 2 * (m - 1) * d, "ring");
 
-        let mut combine = |r: &SignVec, l: &mut SignVec, _ctx: CombineCtx| l.or_assign(r);
-        let (_, tree) = tree_allreduce_onebit(&signs, &mut combine);
+        let tree = plan(PlanTopology::Tree, m, d, None).trace();
         assert_bit_conservation(&tree, 2 * (m - 1) * d, "tree");
 
         let macro_segments = 1 + m % 3;
-        let mut combine = |r: &SignVec, l: &mut SignVec, _ctx: CombineCtx| l.and_assign(r);
-        let (_, seg) = segring_allreduce_onebit(&signs, macro_segments, &mut combine);
+        let seg = plan(PlanTopology::SegRing { macro_segments }, m, d, None).trace();
         assert_bit_conservation(&seg, 2 * (m - 1) * d, "segring");
+
+        // Plan-built traces, clean and under drops, at this d and at one
+        // below the worker count.
+        let topologies = [PlanTopology::Ring, PlanTopology::Tree, PlanTopology::SegRing { macro_segments }];
+        for d in [d, 1 + d % (m - 1)] {
+            for topology in topologies {
+                for drop_seed in [None, Some(seed)] {
+                    let label = format!("{topology:?} m={m} d={d} drops={drop_seed:?}");
+                    assert_plan_conservation(&plan(topology, m, d, drop_seed), &label);
+                }
+            }
+        }
     }
 
     /// Torus shapes, separately (they need a factored worker count).
@@ -161,5 +190,13 @@ proptest! {
             torus_allreduce_onebit(&signs, rows, cols, |r, l, _ctx: CombineCtx| l.or_assign(r));
         let elements = 2 * (cols - 1) * rows * d + 2 * (rows - 1) * d;
         assert_bit_conservation(&trace, elements, "torus");
+
+        let topology = PlanTopology::Torus { rows, cols };
+        let clean = plan(topology, rows * cols, d, None);
+        assert_eq!(clean.trace(), trace, "torus({rows}x{cols}) plan trace");
+        for drop_seed in [None, Some(seed)] {
+            let label = format!("{topology:?} d={d} drops={drop_seed:?}");
+            assert_plan_conservation(&plan(topology, rows * cols, d, drop_seed), &label);
+        }
     }
 }

@@ -3,8 +3,7 @@
 //! related-work compressors, and the non-IID probe.
 
 use marsit::collectives::gossip::{consensus_error, gossip_ring_step};
-use marsit::collectives::segring::segring_allreduce_onebit;
-use marsit::collectives::tree::tree_allreduce_onebit;
+use marsit::collectives::{compile_plan, run_lockstep, PlanTopology};
 use marsit::compress::powersgd::PowerSgd;
 use marsit::compress::quantizers::{qsgd, terngrad};
 use marsit::compress::sparsify::{support_union_growth, TopK};
@@ -24,22 +23,22 @@ fn onebit_unbiased_over_tree_and_segring() {
         .map(|_| SignVec::bernoulli_uniform(d, 0.5, &mut seed_rng))
         .collect();
     let trials = 12_000u64;
-    for paradigm in ["tree", "segring"] {
+    let link = RateProfile::public_cloud().link;
+    for paradigm in [
+        PlanTopology::Tree,
+        PlanTopology::SegRing { macro_segments: 3 },
+    ] {
+        let plan = compile_plan(paradigm, m, d, None).expect("valid shape");
+        assert!(plan.trace().total_bytes() > 0);
         let mut ones = vec![0u32; d];
         for trial in 0..trials {
             let mut rng = FastRng::new(10_000 + trial, 0);
-            let mut combine =
-                |r: &SignVec, l: &mut SignVec, ctx: marsit::collectives::CombineCtx| {
-                    combine_weighted_assign(r, ctx.received_count, l, ctx.local_count, &mut rng);
-                };
-            let (out, trace) = if paradigm == "tree" {
-                tree_allreduce_onebit(&signs, &mut combine)
-            } else {
-                segring_allreduce_onebit(&signs, 3, &mut combine)
+            let combine = |r: &SignVec, l: &mut SignVec, ctx: marsit::collectives::CombineCtx| {
+                combine_weighted_assign(r, ctx.received_count, l, ctx.local_count, &mut rng);
             };
-            assert!(trace.total_bytes() > 0);
+            let out = run_lockstep(&plan, &signs, link, combine).expect("clean plans run");
             for (j, o) in ones.iter_mut().enumerate() {
-                *o += u32::from(out.get(j));
+                *o += u32::from(out[0].get(j));
             }
         }
         for (j, &o) in ones.iter().enumerate() {
@@ -49,7 +48,7 @@ fn onebit_unbiased_over_tree_and_segring() {
             let hw = binomial_ci_halfwidth(expected, trials);
             assert!(
                 (measured - expected).abs() <= hw + 1e-12,
-                "{paradigm} coord {j}: {measured} vs {expected} (±{hw})"
+                "{paradigm:?} coord {j}: {measured} vs {expected} (±{hw})"
             );
         }
     }

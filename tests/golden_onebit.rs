@@ -9,10 +9,8 @@
 //! "bit-identical" contract of the fused path is broken.
 
 use marsit::collectives::ring::ring_allreduce_onebit;
-use marsit::collectives::segring::segring_allreduce_onebit;
 use marsit::collectives::torus::torus_allreduce_onebit;
-use marsit::collectives::tree::tree_allreduce_onebit;
-use marsit::collectives::CombineCtx;
+use marsit::collectives::{compile_plan, run_lockstep, CombineCtx, PlanTopology};
 use marsit::core::ominus::combine_weighted_assign;
 use marsit::prelude::*;
 
@@ -232,11 +230,20 @@ fn golden_collective_ring6_d200() {
     );
 }
 
+/// The compiled schedule run in lockstep; every rank ends on the consensus,
+/// so rank 0's words stand for all of them.
+fn lockstep(topology: PlanTopology, signs: &[SignVec]) -> SignVec {
+    let plan = compile_plan(topology, signs.len(), signs[0].len(), None).expect("valid shape");
+    let link = RateProfile::public_cloud().link;
+    let mut out =
+        run_lockstep(&plan, signs, link, weighted_stream_combine).expect("clean plans run");
+    out.swap_remove(0)
+}
+
 #[test]
 fn golden_collective_tree4_d200() {
     let signs = goldens_signs();
-    let mut combine = weighted_stream_combine;
-    let (out, _) = tree_allreduce_onebit(&signs[..4], &mut combine);
+    let out = lockstep(PlanTopology::Tree, &signs[..4]);
     assert_eq!(
         out.as_words(),
         &[
@@ -252,8 +259,7 @@ fn golden_collective_tree4_d200() {
 #[test]
 fn golden_collective_segring6x3_d200() {
     let signs = goldens_signs();
-    let mut combine = weighted_stream_combine;
-    let (out, _) = segring_allreduce_onebit(&signs, 3, &mut combine);
+    let out = lockstep(PlanTopology::SegRing { macro_segments: 3 }, &signs);
     assert_eq!(
         out.as_words(),
         &[
