@@ -255,8 +255,8 @@ struct Lane {
 }
 
 impl Lane {
-    /// A transfer of this lane's current logical step. `label` is the hop
-    /// event's `(phase_step, segment)`.
+    /// A transfer of this lane's current logical step; `(phase_step,
+    /// segment)` label its hop events.
     fn transfer(
         self,
         (sender, receiver): (usize, usize),
@@ -947,6 +947,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn inert_injector_compiles_the_clean_plan() {
+        for topology in shapes(8) {
+            let clean = compile_plan(topology, 8, 77, None).unwrap();
+            let mut inj = FaultInjector::inert();
+            let inert = compile_plan(topology, 8, 77, Some(&mut inj)).unwrap();
+            assert_eq!(clean, inert, "{topology:?}");
+        }
+    }
+
+    #[test]
+    fn impossible_shapes_are_typed_errors() {
+        for topology in [PlanTopology::Ring, PlanTopology::Tree] {
+            assert_eq!(
+                compile_plan(topology, 1, 8, None),
+                Err(SyncError::TooFewWorkers { needed: 2, got: 1 })
+            );
+        }
+        let segring = PlanTopology::SegRing { macro_segments: 0 };
+        assert_eq!(
+            compile_plan(segring, 4, 8, None),
+            Err(SyncError::ZeroSegments)
+        );
+        let torus = PlanTopology::Torus { rows: 2, cols: 3 };
+        assert_eq!(
+            compile_plan(torus, 5, 8, None),
+            Err(SyncError::BadShape {
+                rows: 2,
+                cols: 3,
+                workers: 5
+            })
+        );
     }
 
     #[test]

@@ -601,7 +601,7 @@ pub(crate) fn engine_combine<'a>(
 /// compile time, never on payload bits — so they are byte-identical to the
 /// simulator backend's. The engine also executes the gather copies, so
 /// every rank (rank 0 included) lands on the consensus.
-fn engine_onebit(
+pub(crate) fn engine_onebit(
     plan: &EnginePlan,
     signs: &[SignVec],
     round_seed: u64,
@@ -1221,10 +1221,10 @@ impl Marsit {
                 }
                 let round_seed = split_seed(self.cfg.seed, t);
                 let kind = self.cfg.combine;
+                // A full-membership torus keeps its hierarchical schedule;
+                // any partial live set re-forms as a ring over the live
+                // workers.
                 let result = if self.cfg.backend == Backend::Threaded {
-                    // A full-membership torus keeps its hierarchical
-                    // schedule; any partial live set re-forms as a ring
-                    // over the live workers.
                     let plan_topology = match effective {
                         EffectiveTopology::Torus { rows, cols } => {
                             PlanTopology::Torus { rows, cols }

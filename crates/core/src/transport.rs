@@ -32,9 +32,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use marsit_collectives::engine::{
-    compile_plan, run_lockstep, run_rank, run_threaded, EnginePlan, PlanTopology,
-};
+use marsit_collectives::engine::{compile_plan, run_lockstep, run_rank, EnginePlan, PlanTopology};
 use marsit_collectives::{SyncError, Trace};
 use marsit_simnet::{
     Backend, FaultInjector, FaultPlan, FaultStats, Frame, FrameKind, HubEvent, ProcessTransport,
@@ -46,7 +44,7 @@ use marsit_telemetry::{Event, Telemetry};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::SignVec;
 
-use crate::marsit::{engine_combine, engine_link};
+use crate::marsit::{engine_combine, engine_link, engine_onebit};
 use crate::CombineKind;
 
 /// How long the driver waits for worker results / the worker waits for its
@@ -210,22 +208,6 @@ impl RunArtifacts {
     }
 }
 
-/// Every rank converged on the consensus (the engine executes the
-/// gather/broadcast copies); reports rank 0's words with the plan's trace.
-fn artifacts(
-    plan: &EnginePlan,
-    mut states: Vec<SignVec>,
-    combines: &AtomicU64,
-    draws: &AtomicU64,
-) -> RunArtifacts {
-    RunArtifacts {
-        consensus: states.swap_remove(0),
-        combines: combines.load(Ordering::Relaxed),
-        rng_draws: draws.load(Ordering::Relaxed),
-        trace: plan.trace(),
-    }
-}
-
 /// Tags the ambient telemetry scope (if any) with the backend identity, so
 /// per-hop events record which transport produced them and which clock its
 /// endpoints report.
@@ -289,8 +271,15 @@ impl Scenario {
         let combines = AtomicU64::new(0);
         let draws = AtomicU64::new(0);
         let combine = engine_combine(self.round_seed(), self.combine, &combines, &draws);
-        let states = run_lockstep(&plan, &self.inputs(), engine_link(), combine)?;
-        Ok(artifacts(&plan, states, &combines, &draws))
+        // Every rank ends on the consensus (the plan executes the
+        // gather/broadcast copies); rank 0's words stand for all of them.
+        let mut states = run_lockstep(&plan, &self.inputs(), engine_link(), combine)?;
+        Ok(RunArtifacts {
+            consensus: states.swap_remove(0),
+            combines: combines.into_inner(),
+            rng_draws: draws.into_inner(),
+            trace: plan.trace(),
+        })
     }
 
     /// Threaded backend: the compiled engine over an in-process channel
@@ -302,15 +291,22 @@ impl Scenario {
     pub fn run_threaded(&self) -> Result<RunArtifacts, SyncError> {
         tag_telemetry(Backend::Threaded);
         let plan = self.plan()?;
-        plan.emit_hops();
         let combines = AtomicU64::new(0);
         let draws = AtomicU64::new(0);
-        let round_seed = self.round_seed();
-        let kind = self.combine;
-        let states = run_threaded(&plan, &self.inputs(), engine_link(), |_rank| {
-            engine_combine(round_seed, kind, &combines, &draws)
-        })?;
-        Ok(artifacts(&plan, states, &combines, &draws))
+        let (consensus, trace) = engine_onebit(
+            &plan,
+            &self.inputs(),
+            self.round_seed(),
+            self.combine,
+            &combines,
+            &draws,
+        )?;
+        Ok(RunArtifacts {
+            consensus,
+            combines: combines.into_inner(),
+            rng_draws: draws.into_inner(),
+            trace,
+        })
     }
 
     /// Process backend: spawns one OS process per rank running `worker_exe`
