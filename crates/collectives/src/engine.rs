@@ -929,7 +929,7 @@ mod tests {
     #[test]
     fn clean_plans_trace_one_step_per_engine_step() {
         for m in 2..=9 {
-            for d in [1, 3, m, 3 * m - 1, 100] {
+            for d in [1, 2, 3, 5, 10, m, 3 * m - 1, 100, 321] {
                 for topology in shapes(m) {
                     let plan = compile_plan(topology, m, d, None).unwrap();
                     let label = format!("{topology:?} m={m} d={d}");
