@@ -1049,6 +1049,38 @@ mod tests {
         }
     }
 
+    /// With no retries, a lost reduce hop leaves the child's whole subtree
+    /// out of every count above it: the root aggregates exactly the workers
+    /// whose path to it delivered.
+    #[test]
+    fn faulty_tree_drops_exclude_whole_subtrees() {
+        let (m, d, seed) = (8, 32, 43);
+        let fault_plan = FaultPlan::seeded(2)
+            .with_link_drop(0.5)
+            .with_retry_policy(0, 1e-4);
+        let mut inj = fault_plan.injector(0);
+        let plan = compile_plan(PlanTopology::Tree, m, d, Some(&mut inj)).unwrap();
+        assert!(inj.stats().dropped_transfers > 0);
+        let lost: usize = plan
+            .transfers
+            .iter()
+            .filter(|t| !t.delivered)
+            .map(|t| t.combine.expect("only reduce hops are best-effort"))
+            .map(|c| c.received_count)
+            .sum();
+        assert!(lost > 0, "some reduce hop must be lost");
+        let mut root_total = 1;
+        run_lockstep(&plan, &signs(m, d, seed), link(), |r, l, ctx| {
+            if ctx.receiver == 0 {
+                root_total = root_total.max(ctx.received_count + ctx.local_count);
+            }
+            l.copy_from(r);
+        })
+        .unwrap();
+        assert!(root_total < m);
+        assert_eq!(root_total, m - lost);
+    }
+
     #[test]
     fn threaded_matches_lockstep_bit_for_bit() {
         let (m, d, seed) = (8, 511, 77);
@@ -1056,7 +1088,7 @@ mod tests {
         for topology in shapes(m) {
             let plan = compile_plan(topology, m, d, None).unwrap();
             let lock = run_lockstep(&plan, &inputs, link(), ctx_combine(seed)).unwrap();
-            for _ in 0..3 {
+            for _ in 0..5 {
                 let thr = run_threaded(&plan, &inputs, link(), |_| ctx_combine(seed)).unwrap();
                 for (a, b) in lock.iter().zip(&thr) {
                     assert_eq!(a.as_words(), b.as_words(), "{topology:?}");

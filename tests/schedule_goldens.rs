@@ -22,5 +22,10 @@ fn simulator_matches_frozen_schedule_goldens() {
         );
         let (run, log) = with_telemetry(|| sc.run_simulator().expect("scenario runs"));
         assert_matches_fixture(&label, &sc, &render(&sc, &run, &log));
+        // The fixtures strip the transport tag; pin it here (trees emit no
+        // hop events, so there is nothing to tag there).
+        if log.contains("\"ev\":\"hop\"") {
+            assert!(log.contains("\"backend\":\"simulator\""), "{label}");
+        }
     }
 }
