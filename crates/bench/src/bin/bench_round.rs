@@ -15,8 +15,10 @@
 //! - `round` — end-to-end Marsit rounds/sec on a ring, one-bit and
 //!   full-precision, their ratio, the realized wire bits per transmitted
 //!   element, steady-state heap allocations per round (via a counting
-//!   global allocator), and a non-dyadic-weight ring (`m = 7`) whose
-//!   transient masks need worst-case RNG draws;
+//!   global allocator), the one-bit round time at a dimension whose ring
+//!   segments start off word boundaries over the aligned one
+//!   (`onebit_unaligned_vs_aligned`), and a non-dyadic-weight ring
+//!   (`m = 7`) whose transient masks need worst-case RNG draws;
 //! - `trainsim` — wall-clock speedup of the thread-per-worker compute phase
 //!   over the sequential one, with a bit-identity check of the reports;
 //! - `meta` — run provenance (seed, topology, workers, `git describe` of the
@@ -306,6 +308,32 @@ fn main() {
         onebit.synchronize_into(black_box(&updates), Topology::ring(m), &mut round_out);
         black_box(&mut round_out);
     });
+    // The same round at a dimension whose ring segments start off 64-bit
+    // word boundaries, as real model dimensions do: the bit-range moves
+    // that cut and splice segments must run as fast there as when aligned.
+    let ud = rd + 37;
+    let updates_unaligned: Vec<Vec<f32>> = {
+        let mut g = FastRng::new(3, 1);
+        (0..m)
+            .map(|_| {
+                (0..ud)
+                    .map(|_| 0.01 * (g.next_f64() as f32 - 0.5))
+                    .collect()
+            })
+            .collect()
+    };
+    let mut onebit_unaligned =
+        Marsit::new(MarsitConfig::new(SyncSchedule::never(), 0.01, 7), m, ud);
+    let mut unaligned_out = SyncOutcome::default();
+    let onebit_unaligned_s = median_secs(sizes.samples, || {
+        onebit_unaligned.synchronize_into(
+            black_box(&updates_unaligned),
+            Topology::ring(m),
+            &mut unaligned_out,
+        );
+        black_box(&mut unaligned_out);
+    });
+    let onebit_unaligned_vs_aligned = onebit_unaligned_s / onebit_s;
     let mut fp = Marsit::new(MarsitConfig::new(SyncSchedule::every(1), 0.01, 7), m, rd);
     let mut fp_out = SyncOutcome::default();
     let fp_s = median_secs(sizes.samples, || {
@@ -333,6 +361,11 @@ fn main() {
         1.0 / onebit_s,
         wire_bits_per_element,
         1.0 / fp_s,
+    );
+    println!(
+        "round m={m} d={ud} (unaligned segments): one-bit {:.1} rounds/s, \
+         {onebit_unaligned_vs_aligned:.2}x the aligned round time",
+        1.0 / onebit_unaligned_s,
     );
 
     // Non-dyadic weights: a 7-worker ring drives the weighted ⊙ through
@@ -498,6 +531,8 @@ fn main() {
     "onebit_rounds_per_sec": {onebit_rps:.2},
     "full_precision_rounds_per_sec": {fp_rps:.2},
     "onebit_vs_full_ratio": {onebit_vs_full_ratio:.3},
+    "unaligned_d": {ud},
+    "onebit_unaligned_vs_aligned": {onebit_unaligned_vs_aligned:.3},
     "wire_bits_per_element": {wire_bits_per_element:.4},
     "allocations_per_round_onebit": {onebit_allocs:.1},
     "allocations_per_round_full_precision": {fp_allocs:.1},

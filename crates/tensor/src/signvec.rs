@@ -16,6 +16,13 @@ use crate::rng::FastRng;
 
 const WORD_BITS: usize = 64;
 
+/// Bits `[off, off + 64)` of the 128-bit value `hi:lo`, for `0 < off < 64`
+/// (a shift by 64 would overflow, so callers handle `off == 0` as a copy).
+#[inline]
+fn funnel(lo: u64, hi: u64, off: usize) -> u64 {
+    (lo >> off) | (hi << (WORD_BITS - off))
+}
+
 /// Fixed-point resolution of the word-parallel Bernoulli sampler: the
 /// probability `p` is rounded to the nearest multiple of `2⁻³²` before
 /// sampling, so any `p` is realized with absolute bias at most `2⁻³³`
@@ -1143,37 +1150,25 @@ impl SignVec {
         self.matching_count(other) as f64 / self.len as f64
     }
 
-    /// Extracts bits `[start, start + count)` into a new vector.
-    ///
-    /// Word-aligned `start` takes a `copy_from_slice` fast path over whole
-    /// words (the segmented collectives cut at 64-bit boundaries whenever
-    /// `d/m` is a multiple of 64); other offsets fall back to per-bit moves.
+    /// Extracts bits `[start, start + count)` into a new vector; see
+    /// [`SignVec::assign_slice_of`].
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the vector length.
     #[must_use]
     pub fn slice(&self, start: usize, count: usize) -> SignVec {
-        assert!(start + count <= self.len, "slice out of bounds");
-        let mut out = SignVec::zeros(count);
-        if start.is_multiple_of(WORD_BITS) {
-            let first = start / WORD_BITS;
-            let nw = out.words.len();
-            out.words.copy_from_slice(&self.words[first..first + nw]);
-            out.mask_tail();
-            return out;
-        }
-        for i in 0..count {
-            if self.get(start + i) {
-                out.set(i, true);
-            }
-        }
+        let mut out = SignVec::default();
+        out.assign_slice_of(self, start, count);
         out
     }
 
-    /// Allocation-free [`SignVec::slice`]: replaces `self` with bits
-    /// `[start, start + count)` of `src`, reusing `self`'s word buffer.
-    /// Same fast path for word-aligned `start`, same result bits.
+    /// Replaces `self` with bits `[start, start + count)` of `src`, reusing
+    /// `self`'s word buffer.
+    ///
+    /// Word-parallel at any bit offset: each output word is one funnel
+    /// shift of two adjacent source words, and a word-aligned `start` is a
+    /// plain word copy. Unused tail bits of the result are zero.
     ///
     /// # Panics
     ///
@@ -1181,50 +1176,71 @@ impl SignVec {
     pub fn assign_slice_of(&mut self, src: &SignVec, start: usize, count: usize) {
         assert!(start + count <= src.len, "slice out of bounds");
         let nw = count.div_ceil(WORD_BITS);
+        let off = start % WORD_BITS;
+        let s = &src.words[start / WORD_BITS..];
         self.len = count;
         self.words.clear();
-        if start.is_multiple_of(WORD_BITS) {
-            let first = start / WORD_BITS;
-            self.words.extend_from_slice(&src.words[first..first + nw]);
-            self.mask_tail();
-            return;
-        }
-        self.words.resize(nw, 0);
-        for i in 0..count {
-            if src.get(start + i) {
-                self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
+        self.words.reserve(nw);
+        if off == 0 {
+            self.words.extend_from_slice(&s[..nw]);
+        } else {
+            self.words.extend(
+                s.iter()
+                    .zip(&s[1..])
+                    .take(nw)
+                    .map(|(&lo, &hi)| funnel(lo, hi, off)),
+            );
+            if self.words.len() < nw {
+                // The range ends inside the source's last word.
+                self.words.push(s[nw - 1] >> off);
             }
         }
+        self.mask_tail();
     }
 
-    /// Overwrites bits `[start, start + other.len())` with `other`.
+    /// Overwrites bits `[start, start + other.len())` with `other`, leaving
+    /// every other bit of `self` untouched.
     ///
-    /// Word-aligned `start` copies whole words (merging the final partial
-    /// word with a mask); other offsets fall back to per-bit moves.
+    /// Word-parallel at any bit offset: each destination word is one funnel
+    /// shift of two adjacent words of `other`, and only the first and last
+    /// destination words merge with their old bits under a mask.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the vector length.
     pub fn splice(&mut self, start: usize, other: &SignVec) {
-        assert!(start + other.len <= self.len, "splice out of bounds");
-        if start.is_multiple_of(WORD_BITS) {
-            let first = start / WORD_BITS;
-            let nw = other.words.len();
-            let rem = other.len % WORD_BITS;
-            if rem == 0 {
-                self.words[first..first + nw].copy_from_slice(&other.words);
-            } else {
-                self.words[first..first + nw - 1].copy_from_slice(&other.words[..nw - 1]);
-                // Keep the destination bits above the spliced range.
-                let mask = (1u64 << rem) - 1;
-                let dst = &mut self.words[first + nw - 1];
-                *dst = (*dst & !mask) | (other.words[nw - 1] & mask);
-            }
+        let end = start + other.len;
+        assert!(end <= self.len, "splice out of bounds");
+        if other.len == 0 {
             return;
         }
-        for i in 0..other.len {
-            self.set(start + i, other.get(i));
+        let off = start % WORD_BITS;
+        let dst = &mut self.words[start / WORD_BITS..end.div_ceil(WORD_BITS)];
+        let last = dst.len() - 1;
+        // Destination bits below `start` and from `end` on survive.
+        let keep_lo = dst[0] & ((1u64 << off) - 1);
+        let keep_hi = match end % WORD_BITS {
+            0 => 0,
+            rem => dst[last] & (u64::MAX << rem),
+        };
+        let src = &other.words;
+        if off == 0 {
+            dst.copy_from_slice(src);
+        } else {
+            // Shifting left by `off` is a funnel shift right by `64 - off`
+            // over the stream `0, src[0], src[1], …, 0`.
+            dst[0] = src[0] << off;
+            for ((d, &lo), &hi) in dst[1..].iter_mut().zip(src).zip(&src[1..]) {
+                *d = funnel(lo, hi, WORD_BITS - off);
+            }
+            if dst.len() > src.len() {
+                dst[last] = src[src.len() - 1] >> (WORD_BITS - off);
+            }
         }
+        // `other`'s unused tail bits are zero, so the shifted words are
+        // zero outside the range and the kept bits merge with a plain OR.
+        dst[0] |= keep_lo;
+        dst[last] |= keep_hi;
     }
 
     /// Size of the packed payload in bytes (the wire size of this message).
@@ -1681,23 +1697,41 @@ mod tests {
         }
     }
 
+    /// Unused bits of the last word must stay zero: the fused ⊙ kernels
+    /// and popcounts read whole words.
+    fn assert_tail_clear(v: &SignVec, what: &str) {
+        let rem = v.len() % WORD_BITS;
+        assert_eq!(v.as_words().len(), v.len().div_ceil(WORD_BITS), "{what}");
+        if rem != 0 {
+            let last = *v.as_words().last().unwrap();
+            assert_eq!(last >> rem, 0, "{what}: dirty tail");
+        }
+    }
+
     #[test]
     fn word_aligned_slice_splice_match_bitwise_fallback() {
         let mut rng = FastRng::new(63, 0);
         let v = SignVec::bernoulli_uniform(300, 0.5, &mut rng);
-        for (start, count) in [
+        let mut cases = vec![
             (0usize, 300usize),
             (64, 100),
             (128, 172),
             (64, 64),
             (192, 1),
-        ] {
+        ];
+        for start in 0..=130 {
+            for count in [0, 1, 63, 64, 65, 300 - start] {
+                cases.push((start, count));
+            }
+        }
+        for (start, count) in cases {
             let fast = v.slice(start, count);
             let mut slow = SignVec::zeros(count);
             for i in 0..count {
                 slow.set(i, v.get(start + i));
             }
             assert_eq!(fast, slow, "slice start={start} count={count}");
+            assert_tail_clear(&fast, &format!("slice start={start} count={count}"));
 
             let patch = SignVec::bernoulli_uniform(count, 0.4, &mut rng);
             let mut fast_dst = v.clone();
@@ -1707,6 +1741,14 @@ mod tests {
                 slow_dst.set(start + i, patch.get(i));
             }
             assert_eq!(fast_dst, slow_dst, "splice start={start} count={count}");
+            for i in (0..start).chain(start + count..v.len()) {
+                assert_eq!(
+                    fast_dst.get(i),
+                    v.get(i),
+                    "splice start={start} count={count} bit {i}"
+                );
+            }
+            assert_tail_clear(&fast_dst, &format!("splice start={start} count={count}"));
         }
     }
 
@@ -1936,6 +1978,25 @@ mod tests {
                 v.slice(start, count),
                 "start={start} count={count}"
             );
+        }
+        // A longer, dirty scratch buffer reused at unaligned starts: no
+        // stale word or tail bit may survive into the shorter result.
+        for (start, count) in [
+            (1usize, 299usize),
+            (37, 99),
+            (63, 65),
+            (65, 1),
+            (100, 0),
+            (129, 171),
+        ] {
+            let mut dirty = SignVec::ones(512);
+            dirty.assign_slice_of(&v, start, count);
+            assert_eq!(
+                dirty,
+                v.slice(start, count),
+                "dirty start={start} count={count}"
+            );
+            assert_tail_clear(&dirty, &format!("dirty start={start} count={count}"));
         }
     }
 
