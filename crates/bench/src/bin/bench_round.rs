@@ -132,6 +132,14 @@ fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
+/// `m` workers' local updates of dimension `d`, uniform in ±0.005.
+fn random_updates(seed: u64, m: usize, d: usize) -> Vec<Vec<f32>> {
+    let mut g = FastRng::new(seed, 0);
+    (0..m)
+        .map(|_| (0..d).map(|_| 0.01 * (g.next_f64() as f32 - 0.5)).collect())
+        .collect()
+}
+
 fn ns_per_elem(secs: f64, elems: usize) -> f64 {
     secs * 1e9 / elems as f64
 }
@@ -284,16 +292,7 @@ fn main() {
     // --- Full Marsit round on a ring of 8. ---
     let m = 8;
     let rd = sizes.round_d;
-    let updates: Vec<Vec<f32>> = {
-        let mut g = FastRng::new(3, 0);
-        (0..m)
-            .map(|_| {
-                (0..rd)
-                    .map(|_| 0.01 * (g.next_f64() as f32 - 0.5))
-                    .collect()
-            })
-            .collect()
-    };
+    let updates = random_updates(3, m, rd);
     let mut onebit = Marsit::new(MarsitConfig::new(SyncSchedule::never(), 0.01, 7), m, rd);
     // One outcome reused across rounds: `synchronize_into` recycles its
     // buffers, which is the steady-state calling convention of the trainer
@@ -312,16 +311,7 @@ fn main() {
     // word boundaries, as real model dimensions do: the bit-range moves
     // that cut and splice segments must run as fast there as when aligned.
     let ud = rd + 37;
-    let updates_unaligned: Vec<Vec<f32>> = {
-        let mut g = FastRng::new(3, 1);
-        (0..m)
-            .map(|_| {
-                (0..ud)
-                    .map(|_| 0.01 * (g.next_f64() as f32 - 0.5))
-                    .collect()
-            })
-            .collect()
-    };
+    let updates_unaligned = random_updates(6, m, ud);
     let mut onebit_unaligned =
         Marsit::new(MarsitConfig::new(SyncSchedule::never(), 0.01, 7), m, ud);
     let mut unaligned_out = SyncOutcome::default();
@@ -373,16 +363,7 @@ fn main() {
     // full 32-bit tail, so every transient word costs the worst-case number
     // of RNG draws. This is the fused kernel's hardest steady-state case.
     let m_nd = 7;
-    let updates_nd: Vec<Vec<f32>> = {
-        let mut g = FastRng::new(4, 0);
-        (0..m_nd)
-            .map(|_| {
-                (0..rd)
-                    .map(|_| 0.01 * (g.next_f64() as f32 - 0.5))
-                    .collect()
-            })
-            .collect()
-    };
+    let updates_nd = random_updates(4, m_nd, rd);
     let mut onebit_nd = Marsit::new(MarsitConfig::new(SyncSchedule::never(), 0.01, 7), m_nd, rd);
     let mut nd_out = SyncOutcome::default();
     let onebit_nd_s = median_secs(sizes.samples, || {
