@@ -893,8 +893,15 @@ mod tests {
                     let combine = |_: &SignVec, _: &mut SignVec, _: CombineCtx| {};
                     let (_, trace) = match (topology, injector()) {
                         (PlanTopology::Torus { rows, cols }, Some(mut inj)) => {
-                            torus_allreduce_onebit_faulty(&inputs, rows, cols, &mut inj, combine)
-                                .unwrap()
+                            torus_allreduce_onebit_faulty(
+                                &inputs,
+                                rows,
+                                cols,
+                                &mut inj,
+                                |_| {},
+                                combine,
+                            )
+                            .unwrap()
                         }
                         (PlanTopology::Torus { rows, cols }, None) => {
                             torus_allreduce_onebit(&inputs, rows, cols, combine)

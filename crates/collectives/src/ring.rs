@@ -828,7 +828,7 @@ pub fn ring_allreduce_sum_faulty(
 /// [`ring_allreduce_onebit`] under fault injection.
 ///
 /// See [`ring_allreduce_onebit_counted_faulty`]; every input counts as one
-/// worker.
+/// worker and no step-begin hook runs.
 ///
 /// # Errors
 ///
@@ -843,7 +843,7 @@ where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
     let counts = vec![1; signs.len()];
-    ring_allreduce_onebit_counted_faulty(signs, &counts, inj, combine)
+    ring_allreduce_onebit_counted_faulty(signs, &counts, inj, |_| {}, combine)
 }
 
 /// One-bit ring all-reduce under fault injection, with explicit per-input
@@ -859,6 +859,14 @@ where
 /// side and the `⊙` combine stays unbiased over what actually arrived.
 /// Gather transfers are reliable, so all workers agree on the result.
 ///
+/// Each reduce step draws all of its transfer fates in issue order first,
+/// then hands the delivered hops to `step_begin` (one [`PlannedHop`] per
+/// combine, in call order — the hook shape of
+/// [`ring_allreduce_onebit_weighted_hooked`]) and only then runs their
+/// combines. Hop `w` writes cell `(w+1, s_w)`, which no other hop of the
+/// step reads, so drawing ahead changes neither a context nor the injector
+/// stream.
+///
 /// With an inert injector this reproduces [`ring_allreduce_onebit_weighted`]
 /// (contexts and all) for uniform `init_counts`.
 ///
@@ -871,13 +879,15 @@ where
 ///
 /// Panics if the combine changes the local vector's length (a programmer
 /// error in the closure, not a runtime condition).
-pub fn ring_allreduce_onebit_counted_faulty<F>(
+pub fn ring_allreduce_onebit_counted_faulty<G, F>(
     signs: &[SignVec],
     init_counts: &[usize],
     inj: &mut FaultInjector,
+    mut step_begin: G,
     mut combine: F,
 ) -> Result<(SignVec, Trace), SyncError>
 where
+    G: FnMut(&[PlannedHop]),
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
     let m = signs.len();
@@ -909,9 +919,11 @@ where
     let mut counts: Vec<Vec<usize>> = init_counts.iter().map(|&c| vec![c; m]).collect();
     let mut trace = Trace::new();
     let mut rec = HopRecorder::begin();
+    let mut plan: Vec<PlannedHop> = Vec::with_capacity(m);
     for r in 0..m - 1 {
         let step_base = trace.num_steps();
         let mut fs = FaultyStep::new();
+        plan.clear();
         for w in 0..m {
             let n = (w + 1) % m;
             let s = (w + m - (r % m)) % m;
@@ -935,22 +947,30 @@ where
                 fate.delivered,
             );
             if fate.delivered {
-                let ctx = CombineCtx {
-                    step: r,
-                    receiver: n,
-                    segment: s,
-                    received_count: counts[w][s],
-                    local_count: counts[n][s],
-                };
-                let (src, dst) = split_pair(&mut state, w, n);
-                combine(&src[s], &mut dst[s], ctx);
-                assert_eq!(
-                    dst[s].len(),
-                    segs[s].len(),
-                    "combine changed segment length"
-                );
-                counts[n][s] += counts[w][s];
+                plan.push(PlannedHop {
+                    ctx: CombineCtx {
+                        step: r,
+                        receiver: n,
+                        segment: s,
+                        received_count: counts[w][s],
+                        local_count: counts[n][s],
+                    },
+                    elems: segs[s].len(),
+                });
             }
+        }
+        step_begin(&plan);
+        for hop in &plan {
+            let (n, s) = (hop.ctx.receiver, hop.ctx.segment);
+            let w = (n + m - 1) % m;
+            let (src, dst) = split_pair(&mut state, w, n);
+            combine(&src[s], &mut dst[s], hop.ctx);
+            assert_eq!(
+                dst[s].len(),
+                segs[s].len(),
+                "combine changed segment length"
+            );
+            counts[n][s] += counts[w][s];
         }
         for step in fs.into_steps() {
             trace.push_step(step);
@@ -1012,6 +1032,80 @@ pub(crate) fn split_pair<T>(items: &mut [T], src: usize, dst: usize) -> (&T, &mu
 fn two_workers(data: &mut [Vec<f32>], src: usize, dst: usize) -> (&[f32], &mut [f32]) {
     let (src, dst) = split_pair(data, src, dst);
     (src.as_slice(), dst.as_mut_slice())
+}
+
+/// Test oracle for the faulty counted ring's step hook: the plans
+/// [`ring_allreduce_onebit_counted_faulty`] must announce, derived from the
+/// sequential schedule (fates drawn from `inj` in issue order, each
+/// delivered hop folding its count in before the next hop reads any). The
+/// gather phase's reliable draws are consumed too, so `inj` ends where the
+/// collective leaves it.
+#[cfg(test)]
+pub(crate) fn expected_faulty_plans(
+    init_counts: &[usize],
+    d: usize,
+    inj: &mut FaultInjector,
+) -> Vec<Vec<PlannedHop>> {
+    let m = init_counts.len();
+    let segs = segment_ranges(d, m);
+    let mut counts: Vec<Vec<usize>> = init_counts.iter().map(|&c| vec![c; m]).collect();
+    let mut plans = Vec::new();
+    for r in 0..m - 1 {
+        let mut plan = Vec::new();
+        for w in 0..m {
+            let (n, s) = ((w + 1) % m, (w + m - (r % m)) % m);
+            if inj.transfer().delivered {
+                plan.push(PlannedHop {
+                    ctx: CombineCtx {
+                        step: r,
+                        receiver: n,
+                        segment: s,
+                        received_count: counts[w][s],
+                        local_count: counts[n][s],
+                    },
+                    elems: segs[s].len(),
+                });
+                counts[n][s] += counts[w][s];
+            }
+        }
+        plans.push(plan);
+    }
+    for _ in 0..(m - 1) * m {
+        inj.transfer_reliable();
+    }
+    plans
+}
+
+/// One observation of a hooked collective: a step plan or a combine.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum HookEvent {
+    Plan(Vec<PlannedHop>),
+    Combine(CombineCtx),
+}
+
+/// Checks the step-hook contract on a recorded event stream: each plan is
+/// followed by exactly its hops' combines, with the same contexts, in plan
+/// order. Returns the plans.
+#[cfg(test)]
+pub(crate) fn plans_followed_by_their_combines(events: &[HookEvent]) -> Vec<Vec<PlannedHop>> {
+    let mut plans = Vec::new();
+    let mut rest = events;
+    while let Some((HookEvent::Plan(plan), tail)) = rest.split_first() {
+        let ctxs: Vec<HookEvent> = plan.iter().map(|h| HookEvent::Combine(h.ctx)).collect();
+        assert!(
+            tail.len() >= ctxs.len() && tail[..ctxs.len()] == ctxs[..],
+            "step {} combines diverge from its plan",
+            plans.len()
+        );
+        rest = &tail[ctxs.len()..];
+        plans.push(plan.clone());
+    }
+    assert!(
+        rest.is_empty(),
+        "combine outside any planned step: {rest:?}"
+    );
+    plans
 }
 
 #[cfg(test)]
@@ -1370,5 +1464,52 @@ mod tests {
             trace.total_bytes(),
             clean_bytes + stats.retransmits as usize * (d / m) * 4
         );
+    }
+
+    /// The faulty ring's step hook under a 30% drop injector: every plan
+    /// lists exactly its step's delivered hops in issue order, the combines
+    /// then arrive with those contexts, and a no-op hook changes nothing.
+    #[test]
+    fn faulty_step_hook_announces_delivered_hops_in_issue_order() {
+        use std::cell::RefCell;
+
+        use marsit_simnet::FaultPlan;
+        let (m, d) = (6, 61);
+        let mut rng = FastRng::new(41, 0);
+        let signs: Vec<SignVec> = (0..m)
+            .map(|_| SignVec::bernoulli_uniform(d, 0.5, &mut rng))
+            .collect();
+        let counts = [1, 2, 1, 3, 1, 1];
+        let plan = FaultPlan::seeded(8)
+            .with_link_drop(0.3)
+            .with_retry_policy(0, 1e-4);
+        let combine = |recv: &SignVec, local: &mut SignVec, _: CombineCtx| local.xor_assign(recv);
+
+        let events = RefCell::new(Vec::new());
+        let mut inj = plan.injector(2);
+        let recorded = ring_allreduce_onebit_counted_faulty(
+            &signs,
+            &counts,
+            &mut inj,
+            |p| events.borrow_mut().push(HookEvent::Plan(p.to_vec())),
+            |recv, local, ctx| {
+                events.borrow_mut().push(HookEvent::Combine(ctx));
+                combine(recv, local, ctx);
+            },
+        )
+        .expect("valid inputs");
+        let plans = plans_followed_by_their_combines(&events.borrow());
+
+        let mut oracle_inj = plan.injector(2);
+        assert_eq!(plans, expected_faulty_plans(&counts, d, &mut oracle_inj));
+        assert_eq!(inj.stats(), oracle_inj.stats());
+        assert!(plans.iter().any(|p| p.len() < m), "0.3 loss omits hops");
+
+        let mut noop_inj = plan.injector(2);
+        let noop =
+            ring_allreduce_onebit_counted_faulty(&signs, &counts, &mut noop_inj, |_| {}, combine)
+                .expect("valid inputs");
+        assert_eq!(noop, recorded, "consensus and trace");
+        assert_eq!(noop_inj.stats(), inj.stats());
     }
 }

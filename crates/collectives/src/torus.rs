@@ -338,6 +338,12 @@ where
 /// row-aggregate counts. All-gather transfers are reliable, so every worker
 /// still agrees on the result. Retransmissions appear as extra trace steps.
 ///
+/// Every reduce step — horizontal, and each vertical sub-ring step — draws
+/// its fates in issue order before any combine runs and hands its delivered
+/// hops to `step_begin`, as [`ring_allreduce_onebit_counted_faulty`] does
+/// (vertical hops report sub-ring-local receivers, as the combine sees
+/// them).
+///
 /// With an inert injector this reproduces [`torus_allreduce_onebit`].
 ///
 /// # Errors
@@ -349,14 +355,16 @@ where
 ///
 /// Panics if the combine changes a chunk's length (a programmer error in
 /// the closure, not a runtime condition).
-pub fn torus_allreduce_onebit_faulty<F>(
+pub fn torus_allreduce_onebit_faulty<G, F>(
     signs: &[SignVec],
     rows: usize,
     cols: usize,
     inj: &mut FaultInjector,
+    mut step_begin: G,
     mut combine: F,
 ) -> Result<(SignVec, Trace), SyncError>
 where
+    G: FnMut(&[PlannedHop]),
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
     if rows < 2 || cols < 2 || signs.len() != rows * cols {
@@ -382,11 +390,15 @@ where
     // counts[w][s]: workers aggregated in worker w's copy of chunk s.
     let mut counts: Vec<Vec<usize>> = vec![vec![1; cols]; rows * cols];
 
-    // Phase 1: horizontal reduce-scatter with per-cell counts.
+    // Phase 1: horizontal reduce-scatter with per-cell counts. Hop
+    // (row, c) writes cell (row, c+1, s) and the hops of one row use
+    // distinct chunks, so no hop of a step reads what another writes.
     let mut rec = HopRecorder::begin();
+    let mut plan: Vec<PlannedHop> = Vec::with_capacity(rows * cols);
     for rr in 0..cols - 1 {
         let step_base = steps.len();
         let mut fs = FaultyStep::new();
+        plan.clear();
         for row in 0..rows {
             for c in 0..cols {
                 let w = row * cols + c;
@@ -412,19 +424,27 @@ where
                     fate.delivered,
                 );
                 if fate.delivered {
-                    let ctx = CombineCtx {
-                        step: rr,
-                        receiver: n,
-                        segment: s,
-                        received_count: counts[w][s],
-                        local_count: counts[n][s],
-                    };
-                    let (src, dst) = split_pair(&mut state, w, n);
-                    combine(&src[s], &mut dst[s], ctx);
-                    assert_eq!(dst[s].len(), chunks[s].len(), "combine changed length");
-                    counts[n][s] += counts[w][s];
+                    plan.push(PlannedHop {
+                        ctx: CombineCtx {
+                            step: rr,
+                            receiver: n,
+                            segment: s,
+                            received_count: counts[w][s],
+                            local_count: counts[n][s],
+                        },
+                        elems: chunks[s].len(),
+                    });
                 }
             }
+        }
+        step_begin(&plan);
+        for hop in &plan {
+            let (n, s) = (hop.ctx.receiver, hop.ctx.segment);
+            let w = (n / cols) * cols + (n % cols + cols - 1) % cols;
+            let (src, dst) = split_pair(&mut state, w, n);
+            combine(&src[s], &mut dst[s], hop.ctx);
+            assert_eq!(dst[s].len(), chunks[s].len(), "combine changed length");
+            counts[n][s] += counts[w][s];
         }
         steps.extend(fs.into_steps());
     }
@@ -439,7 +459,13 @@ where
         let column_counts: Vec<usize> = (0..rows).map(|row| counts[row * cols + c][own]).collect();
         let (reduced, sub) = {
             let _frame = rec.column_frame(offset, column_workers(rows, cols, c));
-            ring_allreduce_onebit_counted_faulty(&column, &column_counts, inj, &mut combine)?
+            ring_allreduce_onebit_counted_faulty(
+                &column,
+                &column_counts,
+                inj,
+                &mut step_begin,
+                &mut combine,
+            )?
         };
         for row in 0..rows {
             state[row * cols + c][own].copy_from(&reduced);
@@ -747,7 +773,7 @@ mod tests {
         let (clean, clean_trace) = torus_allreduce_onebit(&signs, rows, cols, combine);
         let mut inj = FaultInjector::inert();
         let (faulty, faulty_trace) =
-            torus_allreduce_onebit_faulty(&signs, rows, cols, &mut inj, combine)
+            torus_allreduce_onebit_faulty(&signs, rows, cols, &mut inj, |_| {}, combine)
                 .expect("valid inputs");
         assert_eq!(clean, faulty);
         assert_eq!(clean_trace, faulty_trace);
@@ -764,21 +790,123 @@ mod tests {
             .with_retry_policy(0, 1e-4);
         let mut inj = plan.injector(0);
         let mut max_total = 0;
-        let (out, _) = torus_allreduce_onebit_faulty(&signs, rows, cols, &mut inj, |r, l, ctx| {
-            assert!(ctx.received_count >= 1 && ctx.local_count >= 1);
-            assert!(ctx.received_count + ctx.local_count <= m);
-            max_total = max_total.max(ctx.received_count + ctx.local_count);
-            l.copy_from(r);
-        })
+        let (out, _) = torus_allreduce_onebit_faulty(
+            &signs,
+            rows,
+            cols,
+            &mut inj,
+            |_| {},
+            |r, l, ctx| {
+                assert!(ctx.received_count >= 1 && ctx.local_count >= 1);
+                assert!(ctx.received_count + ctx.local_count <= m);
+                max_total = max_total.max(ctx.received_count + ctx.local_count);
+                l.copy_from(r);
+            },
+        )
         .expect("valid inputs");
         assert_eq!(out.len(), d);
         assert!(inj.stats().dropped_transfers > 0);
         assert!(max_total <= m);
         // Determinism under the same seed.
         let mut inj2 = plan.injector(0);
-        let (out2, _) =
-            torus_allreduce_onebit_faulty(&signs, rows, cols, &mut inj2, |r, l, _| l.copy_from(r))
-                .expect("valid inputs");
+        let (out2, _) = torus_allreduce_onebit_faulty(
+            &signs,
+            rows,
+            cols,
+            &mut inj2,
+            |_| {},
+            |r, l, _| {
+                l.copy_from(r);
+            },
+        )
+        .expect("valid inputs");
         assert_eq!(out, out2);
+    }
+
+    /// The faulty torus's step hook under a 30% drop injector: one plan per
+    /// horizontal reduce step and per vertical sub-ring step, each listing
+    /// exactly that step's delivered hops in issue order, followed by their
+    /// combines; a no-op hook changes nothing.
+    #[test]
+    fn faulty_step_hook_announces_delivered_hops_in_issue_order() {
+        use std::cell::RefCell;
+
+        use marsit_simnet::FaultPlan;
+
+        use crate::ring::{expected_faulty_plans, plans_followed_by_their_combines, HookEvent};
+        let (rows, cols, d) = (3, 4, 203);
+        let m = rows * cols;
+        let signs = random_signs(m, d, 43);
+        let plan = FaultPlan::seeded(12)
+            .with_link_drop(0.3)
+            .with_retry_policy(0, 1e-4);
+        let combine = |recv: &SignVec, local: &mut SignVec, _: CombineCtx| local.xor_assign(recv);
+
+        let events = RefCell::new(Vec::new());
+        let mut inj = plan.injector(4);
+        let recorded = torus_allreduce_onebit_faulty(
+            &signs,
+            rows,
+            cols,
+            &mut inj,
+            |p| events.borrow_mut().push(HookEvent::Plan(p.to_vec())),
+            |recv, local, ctx| {
+                events.borrow_mut().push(HookEvent::Combine(ctx));
+                combine(recv, local, ctx);
+            },
+        )
+        .expect("valid inputs");
+        let plans = plans_followed_by_their_combines(&events.borrow());
+
+        // Oracle: the sequential schedule's delivered hops, horizontal
+        // steps first, then each column's sub-ring with its row counts.
+        let chunks = segment_ranges(d, cols);
+        let mut oracle_inj = plan.injector(4);
+        let mut counts = vec![vec![1; cols]; m];
+        let mut want = Vec::new();
+        for rr in 0..cols - 1 {
+            let mut step = Vec::new();
+            for row in 0..rows {
+                for c in 0..cols {
+                    let (w, n) = (row * cols + c, row * cols + (c + 1) % cols);
+                    let s = (c + cols - (rr % cols)) % cols;
+                    if oracle_inj.transfer().delivered {
+                        step.push(PlannedHop {
+                            ctx: CombineCtx {
+                                step: rr,
+                                receiver: n,
+                                segment: s,
+                                received_count: counts[w][s],
+                                local_count: counts[n][s],
+                            },
+                            elems: chunks[s].len(),
+                        });
+                        counts[n][s] += counts[w][s];
+                    }
+                }
+            }
+            want.push(step);
+        }
+        for c in 0..cols {
+            let own = (c + 1) % cols;
+            let column: Vec<usize> = (0..rows).map(|row| counts[row * cols + c][own]).collect();
+            want.extend(expected_faulty_plans(
+                &column,
+                chunks[own].len(),
+                &mut oracle_inj,
+            ));
+        }
+        assert_eq!(plans, want);
+        assert!(
+            plans[..cols - 1].iter().any(|p| p.len() < m),
+            "0.3 loss omits horizontal hops"
+        );
+
+        let mut noop_inj = plan.injector(4);
+        let noop =
+            torus_allreduce_onebit_faulty(&signs, rows, cols, &mut noop_inj, |_| {}, combine)
+                .expect("valid inputs");
+        assert_eq!(noop, recorded, "consensus and trace");
+        assert_eq!(noop_inj.stats(), inj.stats());
     }
 }

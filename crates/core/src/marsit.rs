@@ -21,8 +21,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use marsit_collectives::engine::{compile_plan, run_threaded, EnginePlan, PlanTopology};
 use marsit_collectives::ring::{
-    ring_allreduce_onebit_faulty, ring_allreduce_onebit_planned, ring_allreduce_sum,
-    ring_allreduce_sum_faulty, RingOnebitScratch, StepCombine,
+    ring_allreduce_onebit_counted_faulty, ring_allreduce_onebit_faulty,
+    ring_allreduce_onebit_planned, ring_allreduce_sum, ring_allreduce_sum_faulty,
+    RingOnebitScratch, StepCombine,
 };
 use marsit_collectives::torus::{
     torus_allreduce_onebit_faulty, torus_allreduce_onebit_hooked, torus_allreduce_sum,
@@ -264,8 +265,10 @@ impl WorkspaceHandle {
 /// While a residual is pending, `self.compensations` is stale; every
 /// observer goes through [`Marsit::compensation`] (which flushes) or
 /// [`Marsit::mean_compensation_norm_sq`] (which evaluates the deferred form
-/// directly). The fault path flushes before running, since crashes freeze
-/// per-worker compensation state that must then exist materially.
+/// directly). Only membership-change rounds (a crash, a rejoin, or a partial
+/// live set) flush before running, since crashes freeze per-worker
+/// compensation state that must then exist materially; link faults at full
+/// membership keep the residual deferred like clean rounds.
 #[derive(Debug, Clone)]
 struct PendingResidual {
     /// Consensus sign bits of the round that produced the residual.
@@ -352,9 +355,9 @@ fn prepare_deferred(
 }
 
 /// [`prepare_deferred`] for the materialized-compensation form (round 0,
-/// post-full-precision, post-fault): `h` already holds `u + c`; this pass
-/// accumulates it into the mean numerator and optionally packs its signs
-/// while it is cache-hot.
+/// post-full-precision, post-membership-change): `h` already holds `u + c`;
+/// this pass accumulates it into the mean numerator and optionally packs its
+/// signs while it is cache-hot.
 fn accumulate_and_pack(
     h: &[f32],
     mean_acc: &mut [f32],
@@ -640,7 +643,7 @@ pub struct Marsit {
     workspace: RoundWorkspace,
     /// Residual of the last clean one-bit round, not yet folded into
     /// `compensations` (see [`PendingResidual`]). `None` after construction,
-    /// a full-precision round, a faulty round, or a flush.
+    /// a full-precision round, a membership-change round, or a flush.
     pending: Option<PendingResidual>,
 }
 
@@ -825,27 +828,26 @@ impl Marsit {
             local_updates.iter().all(|u| u.len() == d),
             "update dimensions must match the model"
         );
+        assert!(
+            !matches!(topology, Topology::Star { .. }),
+            "Marsit is a multi-hop all-reduce framework; star/PS is unsupported"
+        );
+        let t = self.round;
 
-        // The fault path freezes per-worker compensation on a crash, so it
-        // needs the residual materialized before anything else runs.
-        if !self.cfg.fault_plan.is_none() {
+        // Membership-change path: a crash, a rejoin or a partial live set.
+        // Crashes freeze per-worker compensation state, so the residual is
+        // materialized first; then a plain materialized apply and a hand-off
+        // to the fault layer, which computes its own survivor-only mean and
+        // packs signs per surviving worker.
+        let plan = &self.cfg.fault_plan;
+        if !plan.is_none() && (plan.live_set(m, t).len() < m || plan.membership_changed_at(m, t)) {
             self.flush_pending();
-        }
-
-        // Detach the workspace so its buffers can be borrowed alongside
-        // `self`; it is stored back before returning on every path.
-        let mut ws = std::mem::take(&mut self.workspace);
-
-        // Fault path: plain materialized apply (the flush above cleared any
-        // pending residual), then hand off — the fault layer computes its
-        // own survivor-only mean and packs signs per surviving worker.
-        if !self.cfg.fault_plan.is_none() {
-            debug_assert!(self.pending.is_none(), "flush_pending ran above");
+            let mut ws = std::mem::take(&mut self.workspace);
             // A rejoining worker restarts from the last full-precision
             // barrier: its compensation state died with the crash, so it
             // re-enters with a zero residual before the prologue folds
             // compensation into its local update.
-            let rejoined = self.cfg.fault_plan.rejoined_at(m, self.round);
+            let rejoined = self.cfg.fault_plan.rejoined_at(m, t);
             for &w in &rejoined {
                 self.compensations[w].reset();
             }
@@ -864,7 +866,14 @@ impl Marsit {
             return;
         }
 
-        let t = self.round;
+        // Every other round runs at full, unchanged membership: clean rounds
+        // and link faults (drops, corruption, stragglers) alike. A fault
+        // plan only hands the collective this round's injector.
+        let mut inj = (!plan.is_none()).then(|| plan.injector(t));
+
+        // Detach the workspace so its buffers can be borrowed alongside
+        // `self`; it is stored back before returning.
+        let mut ws = std::mem::take(&mut self.workspace);
         let full_precision = self.cfg.schedule.is_full_precision(t);
         let inv_m = 1.0 / m as f32;
         let RoundWorkspace {
@@ -930,6 +939,7 @@ impl Marsit {
 
         let combines = Cell::new(0u64);
         let rng_draws = Cell::new(0u64);
+        let mut degraded = DegradedMode::None;
         let mut new_pending = None;
         if full_precision {
             // Lines 11–13: exact averaging, compensation reset.
@@ -938,24 +948,33 @@ impl Marsit {
                 buf.clear();
                 buf.extend_from_slice(src);
             }
-            let trace = match topology {
-                Topology::Ring { .. } => ring_allreduce_sum(fp_buffers),
-                Topology::Torus { rows, cols } => torus_allreduce_sum(fp_buffers, rows, cols),
-                Topology::Star { .. } => {
-                    panic!("Marsit is a multi-hop all-reduce framework; star/PS is unsupported")
+            // A fault-injected resync runs over a ring whatever the
+            // topology, as on the membership-change path.
+            let result = match (inj.as_mut(), topology) {
+                (Some(inj), _) => ring_allreduce_sum_faulty(fp_buffers, inj),
+                (None, Topology::Torus { rows, cols }) => {
+                    Ok(torus_allreduce_sum(fp_buffers, rows, cols))
                 }
+                (None, _) => Ok(ring_allreduce_sum(fp_buffers)),
             };
             out.global_update.clear();
-            out.global_update
-                .extend(fp_buffers[0].iter().map(|&x| x * inv_m));
+            match result {
+                Ok(trace) => {
+                    out.trace = trace;
+                    out.global_update
+                        .extend(fp_buffers[0].iter().map(|&x| x * inv_m));
+                }
+                // A collective error degrades to a local-only round seeded
+                // from worker 0.
+                Err(e) => {
+                    degraded = DegradedMode::Error(e);
+                    out.trace.reset();
+                    out.global_update.extend_from_slice(&compensated[0]);
+                }
+            }
             for c in &mut self.compensations {
                 c.reset();
             }
-            out.full_precision = true;
-            out.trace = trace;
-            out.round = t;
-            out.faults = FaultStats::default();
-            out.degraded = DegradedMode::None;
         } else {
             // Lines 4–9: one-bit synchronization via ⊙. Sign buffers were
             // packed by the fused prologue; the planner pre-draws each
@@ -963,78 +982,95 @@ impl Marsit {
             // combine closure replays them bit-identically.
             let round_seed = split_seed(self.cfg.seed, t);
             planner.reset(round_seed, self.cfg.combine);
-            let consensus = if self.cfg.backend == Backend::Threaded {
+            let result = if self.cfg.backend == Backend::Threaded {
                 let plan_topology = match topology {
-                    Topology::Ring { .. } => PlanTopology::Ring,
                     Topology::Torus { rows, cols } => PlanTopology::Torus { rows, cols },
-                    Topology::Star { .. } => {
-                        panic!("Marsit is a multi-hop all-reduce framework; star/PS is unsupported")
-                    }
+                    _ => PlanTopology::Ring,
                 };
-                let plan = compile_plan(plan_topology, m, d, None)
-                    .expect("full-membership clean plans always compile");
                 let engine_combines = AtomicU64::new(0);
                 let engine_draws = AtomicU64::new(0);
-                let (consensus, trace) = engine_onebit(
-                    &plan,
-                    signs,
-                    round_seed,
-                    self.cfg.combine,
-                    &engine_combines,
-                    &engine_draws,
-                )
-                .expect("clean engine runs cannot fail");
+                let result = compile_plan(plan_topology, m, d, inj.as_mut()).and_then(|plan| {
+                    engine_onebit(
+                        &plan,
+                        signs,
+                        round_seed,
+                        self.cfg.combine,
+                        &engine_combines,
+                        &engine_draws,
+                    )
+                });
                 combines.set(engine_combines.into_inner());
                 rng_draws.set(engine_draws.into_inner());
-                out.trace = trace;
-                consensus
+                result.map(|(consensus, trace)| {
+                    out.trace = trace;
+                    consensus
+                })
+            } else if let (Topology::Ring { .. }, None) = (topology, &inj) {
+                // Planned, allocation-free form: state buffers come from the
+                // workspace, the consensus lands in the recycled buffer, the
+                // trace reuses the outcome's step slots, and each step's
+                // combines may fan out over `intra_threads` (bit-identical
+                // either way; see `ring_allreduce_onebit_planned`).
+                let step_combines = AtomicU64::new(0);
+                let step_draws = AtomicU64::new(0);
+                let mut op = PlannerOp {
+                    planner,
+                    combines: &step_combines,
+                    rng_draws: &step_draws,
+                };
+                ring_allreduce_onebit_planned(
+                    signs,
+                    1,
+                    ring,
+                    consensus_buf,
+                    &mut out.trace,
+                    self.cfg.intra_threads,
+                    &mut op,
+                );
+                combines.set(step_combines.into_inner());
+                rng_draws.set(step_draws.into_inner());
+                Ok(std::mem::take(consensus_buf))
             } else {
-                match topology {
-                    Topology::Ring { .. } => {
-                        // Planned, allocation-free form: state buffers come
-                        // from the workspace, the consensus lands in the
-                        // recycled buffer, the trace reuses the outcome's
-                        // step slots, and each step's combines may fan out
-                        // over `intra_threads` (bit-identical either way;
-                        // see `ring_allreduce_onebit_planned`).
-                        let step_combines = AtomicU64::new(0);
-                        let step_draws = AtomicU64::new(0);
-                        let mut op = PlannerOp {
-                            planner,
-                            combines: &step_combines,
-                            rng_draws: &step_draws,
-                        };
-                        ring_allreduce_onebit_planned(
-                            signs,
-                            1,
-                            ring,
-                            consensus_buf,
-                            &mut out.trace,
-                            self.cfg.intra_threads,
-                            &mut op,
-                        );
-                        combines.set(combines.get() + step_combines.load(Ordering::Relaxed));
-                        rng_draws.set(rng_draws.get() + step_draws.load(Ordering::Relaxed));
-                        std::mem::take(consensus_buf)
+                // The hooked collectives announce each reduce step's
+                // (delivered) hops before its combines run, so the planner
+                // batches the step's masks and the combines replay them in
+                // call order.
+                let planner = RefCell::new(planner);
+                let step_begin = |plan: &[PlannedHop]| planner.borrow_mut().plan_step(plan);
+                let combine = |recv: &SignVec, local: &mut SignVec, ctx: CombineCtx| {
+                    let draws = planner.borrow_mut().apply(recv, local, ctx);
+                    combines.set(combines.get() + 1);
+                    rng_draws.set(rng_draws.get() + draws);
+                };
+                let result = match (topology, inj.as_mut()) {
+                    (Topology::Torus { rows, cols }, None) => Ok(torus_allreduce_onebit_hooked(
+                        signs, rows, cols, step_begin, combine,
+                    )),
+                    (Topology::Torus { rows, cols }, Some(inj)) => {
+                        torus_allreduce_onebit_faulty(signs, rows, cols, inj, step_begin, combine)
                     }
-                    Topology::Torus { rows, cols } => {
-                        let planner = RefCell::new(planner);
-                        let step_begin = |plan: &[PlannedHop]| planner.borrow_mut().plan_step(plan);
-                        let combine = |recv: &SignVec, local: &mut SignVec, ctx: CombineCtx| {
-                            let draws = planner.borrow_mut().apply(recv, local, ctx);
-                            combines.set(combines.get() + 1);
-                            rng_draws.set(rng_draws.get() + draws);
-                        };
-                        let (consensus, trace) =
-                            torus_allreduce_onebit_hooked(signs, rows, cols, step_begin, combine);
-                        out.trace = trace;
-                        consensus
-                    }
-                    Topology::Star { .. } => {
-                        panic!("Marsit is a multi-hop all-reduce framework; star/PS is unsupported")
-                    }
-                }
+                    (_, Some(inj)) => ring_allreduce_onebit_counted_faulty(
+                        signs,
+                        &vec![1; m],
+                        inj,
+                        step_begin,
+                        combine,
+                    ),
+                    (_, None) => unreachable!("the clean ring takes the planned path"),
+                };
+                result.map(|(consensus, trace)| {
+                    out.trace = trace;
+                    consensus
+                })
             };
+            let consensus = result.unwrap_or_else(|e| {
+                // Only a fault-injected round may fail; it degrades to a
+                // local-only round seeded from worker 0's signs.
+                assert!(inj.is_some(), "clean collectives cannot fail: {e}");
+                degraded = DegradedMode::Error(e);
+                out.trace.reset();
+                signs[0].clone()
+            });
             // Line 9: g_t = η_s · σ, rebuilt through the byte LUT (written
             // once per element, no zero-fill pass, no per-lane bit tests).
             // The output buffer is recycled: when it already has the right
@@ -1055,11 +1091,11 @@ impl Marsit {
                 consensus,
                 scale: self.cfg.global_lr,
             });
-            out.full_precision = false;
-            out.round = t;
-            out.faults = FaultStats::default();
-            out.degraded = DegradedMode::None;
         }
+        out.full_precision = full_precision;
+        out.round = t;
+        out.faults = inj.map(|mut inj| inj.take_stats()).unwrap_or_default();
+        out.degraded = degraded;
         self.workspace = ws;
         self.pending = new_pending;
         self.emit_sync_event(out, combines.get(), rng_draws.get());
@@ -1110,7 +1146,10 @@ impl Marsit {
         );
     }
 
-    /// The fault-injected synchronization path (graceful degradation).
+    /// The membership-change synchronization path (graceful degradation):
+    /// rounds whose live set is partial or differs from the previous
+    /// round's. Link faults at full, unchanged membership run the clean
+    /// path with the round's injector instead.
     ///
     /// Differences from the clean path:
     ///
@@ -1138,10 +1177,6 @@ impl Marsit {
         topology: Topology,
         rejoins: u64,
     ) -> SyncOutcome {
-        assert!(
-            !matches!(topology, Topology::Star { .. }),
-            "Marsit is a multi-hop all-reduce framework; star/PS is unsupported"
-        );
         let RoundWorkspace {
             compensated,
             fp_buffers,
@@ -1237,9 +1272,14 @@ impl Marsit {
                 } else {
                     let combine = engine_combine(round_seed, kind, &combines, &rng_draws);
                     match effective {
-                        EffectiveTopology::Torus { rows, cols } => {
-                            torus_allreduce_onebit_faulty(signs, rows, cols, &mut inj, combine)
-                        }
+                        EffectiveTopology::Torus { rows, cols } => torus_allreduce_onebit_faulty(
+                            signs,
+                            rows,
+                            cols,
+                            &mut inj,
+                            |_| {},
+                            combine,
+                        ),
                         _ => ring_allreduce_onebit_faulty(signs, &mut inj, combine),
                     }
                 };

@@ -133,7 +133,8 @@ fn faulty_torus_onebit_reconstructs_with_retries() {
     let signs = random_signs(8, 1000, 7);
     let mut inj = plan.injector(0);
     let (_, trace) = scoped(&tel, || {
-        torus_allreduce_onebit_faulty(&signs, 2, 4, &mut inj, keep_received).expect("valid inputs")
+        torus_allreduce_onebit_faulty(&signs, 2, 4, &mut inj, |_| {}, keep_received)
+            .expect("valid inputs")
     });
     assert_reconstructs(&tel, &trace);
 }
