@@ -17,8 +17,10 @@
 //!   element, steady-state heap allocations per round (via a counting
 //!   global allocator), the one-bit round time at a dimension whose ring
 //!   segments start off word boundaries over the aligned one
-//!   (`onebit_unaligned_vs_aligned`), and a non-dyadic-weight ring
-//!   (`m = 7`) whose transient masks need worst-case RNG draws;
+//!   (`onebit_unaligned_vs_aligned`), a one-bit round under 1% link drops
+//!   over a clean one at the same unaligned `faulty_d`
+//!   (`onebit_faulty_vs_clean`), and a non-dyadic-weight ring (`m = 7`) whose transient masks need
+//!   worst-case RNG draws;
 //! - `trainsim` — wall-clock speedup of the thread-per-worker compute phase
 //!   over the sequential one, with a bit-identity check of the reports;
 //! - `meta` — run provenance (seed, topology, workers, `git describe` of the
@@ -95,6 +97,7 @@ struct Sizes {
     transient_d: usize,
     large_d: usize,
     round_d: usize,
+    faulty_d: usize,
     samples: usize,
     train_rounds: usize,
 }
@@ -104,6 +107,7 @@ const FULL: Sizes = Sizes {
     transient_d: 1 << 20,
     large_d: 1 << 24,
     round_d: 1 << 16,
+    faulty_d: (1 << 16) + 37,
     samples: 15,
     train_rounds: 40,
 };
@@ -113,6 +117,9 @@ const FAST: Sizes = Sizes {
     transient_d: 1 << 16,
     large_d: 1 << 20,
     round_d: 1 << 13,
+    // Not `round_d + 37`: at 2^13 the round is cache-resident and five
+    // samples cannot tell a lossy round's extra memory passes from noise.
+    faulty_d: (1 << 15) + 37,
     samples: 5,
     train_rounds: 6,
 };
@@ -130,6 +137,25 @@ fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// Median wall times of `f` and `g` over `samples` timed runs each (after
+/// one warm-up call of each), alternating between the two so that a host
+/// whose memory speed drifts from phase to phase slows both sides alike.
+fn paired_median_secs(samples: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
+    f();
+    g();
+    let time = |h: &mut dyn FnMut()| {
+        let t = Instant::now();
+        h();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut fs, mut gs): (Vec<f64>, Vec<f64>) = (0..samples.max(1))
+        .map(|_| (time(&mut f), time(&mut g)))
+        .unzip();
+    fs.sort_by(f64::total_cmp);
+    gs.sort_by(f64::total_cmp);
+    (fs[fs.len() / 2], gs[gs.len() / 2])
 }
 
 /// `m` workers' local updates of dimension `d`, uniform in ±0.005.
@@ -324,6 +350,38 @@ fn main() {
         black_box(&mut unaligned_out);
     });
     let onebit_unaligned_vs_aligned = onebit_unaligned_s / onebit_s;
+    // A clean and a 1%-link-drop one-bit round, timed alternately at an
+    // unaligned d. At full membership a lossy round runs the clean round's
+    // fused prologue, deferred residual and batched masks; only its
+    // collective draws fates, so it must stay close to the clean round.
+    let fd = sizes.faulty_d;
+    let updates_faulty = random_updates(8, m, fd);
+    let mut clean = Marsit::new(MarsitConfig::new(SyncSchedule::never(), 0.01, 7), m, fd);
+    let faulty_cfg = MarsitConfig::new(SyncSchedule::never(), 0.01, 7)
+        .with_fault_plan(FaultPlan::seeded(7).with_link_drop(0.01));
+    let mut faulty = Marsit::new(faulty_cfg, m, fd);
+    let mut clean_out = SyncOutcome::default();
+    let mut faulty_out = SyncOutcome::default();
+    let (clean_s, onebit_faulty_s) = paired_median_secs(
+        sizes.samples,
+        || {
+            clean.synchronize_into(
+                black_box(&updates_faulty),
+                Topology::ring(m),
+                &mut clean_out,
+            );
+            black_box(&mut clean_out);
+        },
+        || {
+            faulty.synchronize_into(
+                black_box(&updates_faulty),
+                Topology::ring(m),
+                &mut faulty_out,
+            );
+            black_box(&mut faulty_out);
+        },
+    );
+    let onebit_faulty_vs_clean = onebit_faulty_s / clean_s;
     let mut fp = Marsit::new(MarsitConfig::new(SyncSchedule::every(1), 0.01, 7), m, rd);
     let mut fp_out = SyncOutcome::default();
     let fp_s = median_secs(sizes.samples, || {
@@ -356,6 +414,11 @@ fn main() {
         "round m={m} d={ud} (unaligned segments): one-bit {:.1} rounds/s, \
          {onebit_unaligned_vs_aligned:.2}x the aligned round time",
         1.0 / onebit_unaligned_s,
+    );
+    println!(
+        "round m={m} d={fd} under 1% link drops: one-bit {:.1} rounds/s, \
+         {onebit_faulty_vs_clean:.2}x the clean round time",
+        1.0 / onebit_faulty_s,
     );
 
     // Non-dyadic weights: a 7-worker ring drives the weighted ⊙ through
@@ -514,6 +577,8 @@ fn main() {
     "onebit_vs_full_ratio": {onebit_vs_full_ratio:.3},
     "unaligned_d": {ud},
     "onebit_unaligned_vs_aligned": {onebit_unaligned_vs_aligned:.3},
+    "faulty_d": {fd},
+    "onebit_faulty_vs_clean": {onebit_faulty_vs_clean:.3},
     "wire_bits_per_element": {wire_bits_per_element:.4},
     "allocations_per_round_onebit": {onebit_allocs:.1},
     "allocations_per_round_full_precision": {fp_allocs:.1},
