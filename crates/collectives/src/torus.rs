@@ -440,6 +440,7 @@ where
         step_begin(&plan);
         for hop in &plan {
             let (n, s) = (hop.ctx.receiver, hop.ctx.segment);
+            // The sender is the receiver's left neighbour in its row.
             let w = (n / cols) * cols + (n % cols + cols - 1) % cols;
             let (src, dst) = split_pair(&mut state, w, n);
             combine(&src[s], &mut dst[s], hop.ctx);
